@@ -12,7 +12,7 @@ Perceptron::Perceptron(const PerceptronConfig &config)
 {
     fatalIf(config_.tableBits == 0 || config_.tableBits > 24,
             "perceptron table bits must be in 1..24");
-    fatalIf(config_.numTables < 2 || config_.numTables > 16,
+    fatalIf(config_.numTables < 2 || config_.numTables > kMaxTables,
             "perceptron needs 2..16 tables (one is the bias table)");
     fatalIf(config_.segmentBits == 0 || config_.segmentBits > 32,
             "perceptron segment bits must be in 1..32");
@@ -26,18 +26,22 @@ Perceptron::Perceptron(const PerceptronConfig &config)
     fatalIf(config_.thetaCounterSat < 1,
             "perceptron theta counter saturation must be >= 1");
 
-    tables_.assign(config_.numTables,
-                   std::vector<int16_t>(size_t(1) << config_.tableBits, 0));
+    weights_.assign(size_t(config_.numTables) << config_.tableBits, 0);
+    // Table t sees the newest t*S history bits (see indexOf).
+    channels_.assign(config_.numTables, 0);
+    for (unsigned t = 1; t < config_.numTables; ++t)
+        channels_[t] =
+            history_.addChannel(t * config_.segmentBits, config_.tableBits);
 }
 
 Perceptron::~Perceptron() = default;
 
 size_t
-Perceptron::indexOf(unsigned table, uint64_t pc) const noexcept
+Perceptron::indexOf(unsigned t, uint64_t pc) const noexcept
 {
     uint64_t word = pc >> 2;
     uint64_t idx;
-    if (table == 0) {
+    if (t == 0) {
         // Bias table: address only, no history.
         idx = word;
     } else {
@@ -47,26 +51,30 @@ Perceptron::indexOf(unsigned table, uint64_t pc) const noexcept
         // so instead fold the full window seen so far at each depth —
         // the windows nest, giving each table a progressively deeper
         // view, O-GEHL style.
-        uint64_t folded =
-            history_.fold(table * config_.segmentBits, config_.tableBits);
-        idx = word ^ (word >> table) ^ folded;
+        uint64_t folded = history_.channel(channels_[t]);
+        idx = word ^ (word >> t) ^ folded;
     }
     return idx & ((size_t(1) << config_.tableBits) - 1);
 }
 
-int
-Perceptron::sumOf(uint64_t pc) const noexcept
+void
+Perceptron::lookup(uint64_t pc, Lookup &out) const noexcept
 {
+    out.pc = pc;
+    out.valid = true;
     int sum = 0;
-    for (unsigned t = 0; t < config_.numTables; ++t)
-        sum += tables_[t][indexOf(t, pc)];
-    return sum;
+    for (unsigned t = 0; t < config_.numTables; ++t) {
+        out.index[t] = static_cast<uint32_t>(indexOf(t, pc));
+        sum += table(t)[out.index[t]];
+    }
+    out.yout = sum;
 }
 
 bool
 Perceptron::predict(const trace::BranchRecord &br) noexcept
 {
-    return sumOf(br.pc) >= 0;
+    lookup(br.pc, latch_);
+    return latch_.yout >= 0;
 }
 
 int
@@ -83,17 +91,20 @@ Perceptron::clampWeight(int weight, bool taken) const noexcept
 void
 Perceptron::update(const trace::BranchRecord &br, bool taken) noexcept
 {
-    // Indices depend only on pc and history, both unchanged since
-    // predict(), so recomputing here (instead of caching) keeps batch
-    // and scalar paths trivially equivalent.
-    int yout = sumOf(br.pc);
+    // predict() latched the indices and sum from the same pre-update
+    // state; recompute only when update() arrives without its
+    // predict() (a different pc, or a latch already consumed or
+    // invalidated).
+    if (!latch_.valid || latch_.pc != br.pc)
+        lookup(br.pc, latch_);
+    const int yout = latch_.yout;
     bool predicted = yout >= 0;
     bool mispredict = predicted != taken;
     bool weak = std::abs(yout) <= theta_;
 
     if (mispredict || weak) {
         for (unsigned t = 0; t < config_.numTables; ++t) {
-            int16_t &w = tables_[t][indexOf(t, br.pc)];
+            int16_t &w = table(t)[latch_.index[t]];
             w = static_cast<int16_t>(clampWeight(w, taken));
         }
         ++stats_.trainEvents;
@@ -118,18 +129,19 @@ Perceptron::update(const trace::BranchRecord &br, bool taken) noexcept
         }
     }
 
+    latch_.valid = false;
     history_.push(taken);
 }
 
 void
 Perceptron::reset()
 {
-    for (auto &table : tables_)
-        table.assign(table.size(), 0);
+    weights_.assign(weights_.size(), 0);
     history_.clear();
     theta_ = config_.initialTheta;
     thetaCtr_ = 0;
     stats_ = PerceptronStats{};
+    latch_.valid = false;
 }
 
 std::string
@@ -142,12 +154,11 @@ int
 Perceptron::maxAbsWeight() const
 {
     int out = 0;
-    for (const auto &table : tables_)
-        for (int16_t w : table) {
-            int a = w < 0 ? -w : w;
-            if (a > out)
-                out = a;
-        }
+    for (int16_t w : weights_) {
+        int a = w < 0 ? -w : w;
+        if (a > out)
+            out = a;
+    }
     return out;
 }
 

@@ -10,13 +10,16 @@
  * weight storage across branches (capacity), bounds the adder tree to N
  * terms regardless of history length (latency), and lets mildly
  * conflicting branches share weights gracefully (interference behaves
- * like gshare's, analyzed in EXPERIMENTS.md). Implementation choices are
- * documented in DESIGN.md §13.
+ * like gshare's, analyzed in EXPERIMENTS.md). Each history table reads
+ * its fold from an incrementally folded channel (history_fold.hpp), and
+ * predict() latches the indices and sum for the matching update().
+ * Implementation choices are documented in DESIGN.md §13.
  */
 
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -82,18 +85,19 @@ class Perceptron : public Predictor
         uint64_t weight_bits = 1;
         while ((uint64_t(1) << weight_bits) < span)
             ++weight_bits;
-        uint64_t weights = 0;
-        for (const auto &table : tables_)
-            weights += table.size();
-        return weights * weight_bits + config_.historyBits() + 16 + 16;
+        uint64_t bits = weights_.size() * weight_bits;
+        return bits + config_.historyBits() + 16 + 16;
     }
 
+    // The snapshot is per table (a table count, then one
+    // length-prefixed vector per table) although the tables share one
+    // flat array: the prefixes are the restore side's geometry check.
     void
     snapshotState(state::Writer &w) const override
     {
-        w.u64(tables_.size());
-        for (const auto &table : tables_)
-            state::writeVec(w, table, [](state::Writer &out, int16_t v) {
+        w.u64(config_.numTables);
+        for (unsigned t = 0; t < config_.numTables; ++t)
+            state::writeSpan(w, table(t), [](state::Writer &out, int16_t v) {
                 out.i16(v);
             });
         history_.snapshot(w);
@@ -104,20 +108,25 @@ class Perceptron : public Predictor
     void
     restoreState(state::Reader &r) override
     {
-        panicIf(r.u64() != tables_.size(),
+        panicIf(r.u64() != config_.numTables,
                 "Perceptron restore: weight-table count mismatch");
-        for (auto &table : tables_)
-            state::readVec(r, table, [](state::Reader &in, int16_t &v) {
+        for (unsigned t = 0; t < config_.numTables; ++t)
+            state::readSpan(r, table(t), [](state::Reader &in, int16_t &v) {
                 v = in.i16();
             });
         history_.restore(r);
         theta_ = r.i32();
         thetaCtr_ = r.i32();
+        latch_.valid = false;
     }
 
-    COPRA_CONFIG_FIELDS(config_);
-    COPRA_STATE_FIELDS(tables_, history_, theta_, thetaCtr_);
-    COPRA_TRANSIENT_FIELDS(stats_);
+    COPRA_CONFIG_FIELDS(config_, channels_);
+    COPRA_STATE_FIELDS(weights_, history_, theta_, thetaCtr_);
+    // latch_ carries predict()'s indices and sum into the matching
+    // update(); it caches a pure function of (pc, state), is never
+    // serialized, and update() recomputes whenever it is not valid for
+    // the branch at hand.
+    COPRA_TRANSIENT_FIELDS(stats_, latch_);
 
   protected:
     /**
@@ -128,15 +137,43 @@ class Perceptron : public Predictor
     virtual int clampWeight(int weight, bool taken) const noexcept;
 
   private:
-    int sumOf(uint64_t pc) const noexcept;
-    size_t indexOf(unsigned table, uint64_t pc) const noexcept;
+    static constexpr unsigned kMaxTables = 16;
+
+    /** Per-table weight indices and their sum for one pc. */
+    struct Lookup
+    {
+        uint64_t pc = 0;
+        bool valid = false; //!< latch_ only: computed for pc, unconsumed
+        int yout = 0;       //!< dot product; predict taken iff >= 0
+        uint32_t index[kMaxTables] = {};
+    };
+
+    void lookup(uint64_t pc, Lookup &out) const noexcept;
+    size_t indexOf(unsigned t, uint64_t pc) const noexcept;
+
+    /** Weight table @p t: a stride-sized slice of weights_. */
+    std::span<int16_t>
+    table(unsigned t) noexcept
+    {
+        const size_t stride = size_t(1) << config_.tableBits;
+        return {weights_.data() + t * stride, stride};
+    }
+
+    std::span<const int16_t>
+    table(unsigned t) const noexcept
+    {
+        const size_t stride = size_t(1) << config_.tableBits;
+        return {weights_.data() + t * stride, stride};
+    }
 
     PerceptronConfig config_;
-    std::vector<std::vector<int16_t>> tables_; //!< [table][index] weights
+    std::vector<int16_t> weights_;   //!< weight tables, table-major
+    std::vector<unsigned> channels_; //!< fold channel per table (t >= 1)
     FoldedHistory history_;
     int theta_;       //!< current training threshold
     int thetaCtr_ = 0; //!< threshold-fitting counter (TC)
     PerceptronStats stats_;
+    Lookup latch_; //!< predict()'s lookup, consumed by update()
 };
 
 } // namespace copra::predictor

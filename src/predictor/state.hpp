@@ -131,30 +131,46 @@ fnv1a(std::span<const uint8_t> bytes)
 }
 
 /**
- * Serialize a fixed-geometry vector: the size prefix is a tripwire the
+ * Serialize a fixed-geometry table: the size prefix is a tripwire the
  * restore side checks, because restoring a snapshot into a predictor
  * of a different geometry is a caller bug.
  */
 template <typename T, typename Fn>
 void
-writeVec(Writer &w, const std::vector<T> &vec, Fn &&item)
+writeSpan(Writer &w, std::span<const T> table, Fn &&item)
 {
-    w.u64(vec.size());
-    for (const T &x : vec)
+    w.u64(table.size());
+    for (const T &x : table)
         item(w, x);
 }
 
 template <typename T, typename Fn>
 void
-readVec(Reader &r, std::vector<T> &vec, Fn &&item)
+readSpan(Reader &r, std::span<T> table, Fn &&item)
 {
     uint64_t n = r.u64();
-    panicIf(n != vec.size(),
+    panicIf(n != table.size(),
             "state restore: table geometry mismatch (snapshot has " +
                 std::to_string(n) + " entries, predictor has " +
-                std::to_string(vec.size()) + ")");
-    for (T &x : vec)
+                std::to_string(table.size()) + ")");
+    for (T &x : table)
         item(r, x);
+}
+
+/** writeSpan() over a whole vector. */
+template <typename T, typename Fn>
+void
+writeVec(Writer &w, const std::vector<T> &vec, Fn &&item)
+{
+    writeSpan(w, std::span<const T>(vec), item);
+}
+
+/** readSpan() into a whole vector. */
+template <typename T, typename Fn>
+void
+readVec(Reader &r, std::vector<T> &vec, Fn &&item)
+{
+    readSpan(r, std::span<T>(vec), item);
 }
 
 /**

@@ -34,7 +34,7 @@ Tage::Tage(const TageConfig &config) : config_(config)
             "TAGE counter bits must be in 2..8");
     fatalIf(config_.usefulBits == 0 || config_.usefulBits > 8,
             "TAGE useful bits must be in 1..8");
-    fatalIf(config_.numTables == 0 || config_.numTables > 8,
+    fatalIf(config_.numTables == 0 || config_.numTables > kMaxTables,
             "TAGE needs 1..8 tagged tables");
     fatalIf(config_.minHistory == 0, "TAGE min history must be > 0");
     fatalIf(config_.maxHistory < config_.minHistory,
@@ -43,35 +43,42 @@ Tage::Tage(const TageConfig &config) : config_(config)
             "TAGE max history exceeds FoldedHistory::kMaxBits");
 
     base_.assign(size_t(1) << config_.baseBits, 1); // weakly not-taken
-    tables_.assign(config_.numTables,
-                   std::vector<Entry>(size_t(1) << config_.tableBits));
+    tables_.assign(size_t(config_.numTables) << config_.tableBits, Entry{});
     lengths_.resize(config_.numTables);
-    for (unsigned t = 0; t < config_.numTables; ++t)
+    hashes_.resize(config_.numTables);
+    for (unsigned t = 0; t < config_.numTables; ++t) {
         lengths_[t] = config_.historyLength(t);
+        TableHash &h = hashes_[t];
+        h.index = history_.addChannel(lengths_[t], config_.tableBits);
+        h.tag = history_.addChannel(lengths_[t], config_.tagBits);
+        if (config_.tagBits > 1)
+            h.tagAlt =
+                history_.addChannel(lengths_[t], config_.tagBits - 1);
+    }
 }
 
 Tage::~Tage() = default;
 
 size_t
-Tage::indexOf(unsigned table, uint64_t pc) const noexcept
+Tage::indexOf(unsigned t, uint64_t pc) const noexcept
 {
     uint64_t word = pc >> 2;
-    uint64_t folded = history_.fold(lengths_[table], config_.tableBits);
+    uint64_t folded = history_.channel(hashes_[t].index);
     // Skew the pc contribution per table so tables disagree about which
     // static branches collide.
-    uint64_t idx = folded ^ word ^ (word >> (table + 1));
+    uint64_t idx = folded ^ word ^ (word >> (t + 1));
     return idx & ((size_t(1) << config_.tableBits) - 1);
 }
 
 uint16_t
-Tage::tagOf(unsigned table, uint64_t pc) const noexcept
+Tage::tagOf(unsigned t, uint64_t pc) const noexcept
 {
     uint64_t word = pc >> 2;
-    uint64_t f1 = history_.fold(lengths_[table], config_.tagBits);
+    uint64_t f1 = history_.channel(hashes_[t].tag);
     // The second, shifted fold at width-1 breaks the symmetry that a
     // single fold shares with the index hash (classic TAGE trick).
     uint64_t f2 = config_.tagBits > 1
-        ? history_.fold(lengths_[table], config_.tagBits - 1) << 1
+        ? history_.channel(hashes_[t].tagAlt) << 1
         : 0;
     uint64_t tag = word ^ f1 ^ f2;
     return static_cast<uint16_t>(tag &
@@ -94,17 +101,23 @@ Tage::bumpCounter(uint8_t &ctr, unsigned bits, bool up) noexcept
         --ctr;
 }
 
-Tage::Lookup
-Tage::lookup(uint64_t pc) const noexcept
+void
+Tage::lookup(uint64_t pc, Lookup &out) const noexcept
 {
-    Lookup out;
+    out.pc = pc;
+    out.valid = true;
+    out.provider = -1;
     size_t base_idx = (pc >> 2) & ((size_t(1) << config_.baseBits) - 1);
     bool base_pred = counterTaken(base_[base_idx], 2);
     out.prediction = base_pred;
     out.altPrediction = base_pred;
+    for (unsigned t = 0; t < config_.numTables; ++t) {
+        out.index[t] = static_cast<uint32_t>(indexOf(t, pc));
+        out.tag[t] = tagOf(t, pc);
+    }
     for (int t = static_cast<int>(config_.numTables) - 1; t >= 0; --t) {
-        const Entry &e = tables_[t][indexOf(t, pc)];
-        if (e.tag != tagOf(t, pc))
+        const Entry &e = table(t)[out.index[t]];
+        if (e.tag != out.tag[t])
             continue;
         bool pred = counterTaken(e.ctr, config_.counterBits);
         if (out.provider < 0) {
@@ -112,23 +125,21 @@ Tage::lookup(uint64_t pc) const noexcept
             out.prediction = pred;
             out.altPrediction = base_pred; // until a lower match appears
         } else {
-            out.alt = t;
             out.altPrediction = pred;
             break; // only the next-longest match matters
         }
     }
-    return out;
 }
 
 bool
 Tage::predict(const trace::BranchRecord &br) noexcept
 {
-    Lookup l = lookup(br.pc);
-    if (l.provider >= 0)
+    lookup(br.pc, latch_);
+    if (latch_.provider >= 0)
         ++stats_.providerTagged;
     else
         ++stats_.providerBase;
-    return l.prediction;
+    return latch_.prediction;
 }
 
 void
@@ -145,14 +156,16 @@ Tage::allocateEntry(Entry &slot, uint16_t tag, bool taken) noexcept
 void
 Tage::update(const trace::BranchRecord &br, bool taken) noexcept
 {
-    // Recompute the provider from pre-update state rather than caching
-    // it in predict(): batch and scalar paths then trivially agree, and
-    // stats-only predict() stays side-effect free.
-    Lookup l = lookup(br.pc);
+    // predict() latched the lookup from the same pre-update state;
+    // recompute only when update() arrives without its predict() (a
+    // different pc, or a latch already consumed or invalidated).
+    if (!latch_.valid || latch_.pc != br.pc)
+        lookup(br.pc, latch_);
+    const Lookup &l = latch_;
     bool mispredict = l.prediction != taken;
 
     if (l.provider >= 0) {
-        Entry &e = tables_[l.provider][indexOf(l.provider, br.pc)];
+        Entry &e = table(l.provider)[l.index[l.provider]];
         bumpCounter(e.ctr, config_.counterBits, taken);
         // The useful counter tracks whether the provider beats its
         // alternate — only meaningful when they disagree.
@@ -171,9 +184,9 @@ Tage::update(const trace::BranchRecord &br, bool taken) noexcept
         l.provider < static_cast<int>(config_.numTables) - 1) {
         bool allocated = false;
         for (unsigned t = l.provider + 1; t < config_.numTables; ++t) {
-            Entry &cand = tables_[t][indexOf(t, br.pc)];
+            Entry &cand = table(t)[l.index[t]];
             if (cand.useful == 0) {
-                allocateEntry(cand, tagOf(t, br.pc), taken);
+                allocateEntry(cand, l.tag[t], taken);
                 ++stats_.allocations;
                 obs::count(obs::ids().tageAllocations);
                 allocated = true;
@@ -184,21 +197,21 @@ Tage::update(const trace::BranchRecord &br, bool taken) noexcept
             // All candidates are protected: decay them so a future
             // mispredict can get in (full TAGE decrements u here too).
             for (unsigned t = l.provider + 1; t < config_.numTables; ++t) {
-                Entry &cand = tables_[t][indexOf(t, br.pc)];
+                Entry &cand = table(t)[l.index[t]];
                 if (cand.useful > 0)
                     --cand.useful;
             }
             ++stats_.allocFailures;
         }
     }
+    latch_.valid = false;
 
     history_.push(taken);
 
     ++updates_;
     if (config_.agingPeriod != 0 && updates_ % config_.agingPeriod == 0) {
-        for (auto &table : tables_)
-            for (Entry &e : table)
-                e.useful >>= 1;
+        for (Entry &e : tables_)
+            e.useful >>= 1;
         ++stats_.agingEvents;
     }
 }
@@ -207,11 +220,11 @@ void
 Tage::reset()
 {
     base_.assign(base_.size(), 1);
-    for (auto &table : tables_)
-        table.assign(table.size(), Entry{});
+    tables_.assign(tables_.size(), Entry{});
     history_.clear();
     updates_ = 0;
     stats_ = TageStats{};
+    latch_.valid = false;
 }
 
 std::string
@@ -224,10 +237,9 @@ unsigned
 Tage::maxUseful() const
 {
     unsigned out = 0;
-    for (const auto &table : tables_)
-        for (const Entry &e : table)
-            if (e.useful > out)
-                out = e.useful;
+    for (const Entry &e : tables_)
+        if (e.useful > out)
+            out = e.useful;
     return out;
 }
 
@@ -235,9 +247,8 @@ uint64_t
 Tage::usefulSum() const
 {
     uint64_t out = 0;
-    for (const auto &table : tables_)
-        for (const Entry &e : table)
-            out += e.useful;
+    for (const Entry &e : tables_)
+        out += e.useful;
     return out;
 }
 

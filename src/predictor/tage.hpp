@@ -11,16 +11,19 @@
  * counters age periodically so stale entries become reclaimable.
  *
  * Deliberate simplifications versus full TAGE (documented in DESIGN.md
- * §13): no alternate-prediction override of weak entries (USE_ALT_ON_NA),
- * deterministic first-free-slot allocation instead of randomized
- * candidate choice, and stateless block-folded history hashing
- * (predictor/history_fold.hpp) instead of incremental circular shift
- * registers.
+ * §13): no alternate-prediction override of weak entries (USE_ALT_ON_NA)
+ * and deterministic first-free-slot allocation instead of randomized
+ * candidate choice. History hashing uses incrementally folded channels
+ * (predictor/history_fold.hpp), three per tagged table, so one branch
+ * costs O(1) history work; predict() latches the per-table indices,
+ * tags and provider scan for the matching update(), so each branch
+ * scans the tables once.
  */
 
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -82,33 +85,35 @@ class Tage : public Predictor
     /** Sum of all useful counters (tests: aging must shrink it). */
     uint64_t usefulSum() const;
 
-    // State contract (DESIGN.md §14): 2 bits per base counter, then
-    // tag + prediction + useful bits per tagged entry, the folded
-    // history, and the aging clock.
+    // State contract (DESIGN.md §14): 2 bits per base counter plus
+    // tag + prediction + useful bits per tagged entry. The history
+    // register and the aging clock are serialized but not counted
+    // (unlike the perceptron, which counts its history bits; §14
+    // records the inconsistency).
     uint64_t
     stateBits() const override
     {
-        uint64_t bits = uint64_t(2) * base_.size();
         const uint64_t per_entry = uint64_t(config_.tagBits) +
             config_.counterBits + config_.usefulBits;
-        for (const auto &table : tables_)
-            bits += per_entry * table.size();
-        return bits;
+        return uint64_t(2) * base_.size() + per_entry * tables_.size();
     }
 
+    // The snapshot is per table (a table count, then one
+    // length-prefixed vector per table) although the tables share one
+    // flat array: the prefixes are the restore side's geometry check.
     void
     snapshotState(state::Writer &w) const override
     {
         state::writeVec(w, base_,
                         [](state::Writer &out, uint8_t c) { out.u8(c); });
-        w.u64(tables_.size());
-        for (const auto &table : tables_)
-            state::writeVec(w, table,
-                            [](state::Writer &out, const Entry &e) {
-                                out.u16(e.tag);
-                                out.u8(e.ctr);
-                                out.u8(e.useful);
-                            });
+        w.u64(config_.numTables);
+        for (unsigned t = 0; t < config_.numTables; ++t)
+            state::writeSpan(w, table(t),
+                             [](state::Writer &out, const Entry &e) {
+                                 out.u16(e.tag);
+                                 out.u8(e.ctr);
+                                 out.u8(e.useful);
+                             });
         history_.snapshot(w);
         w.u64(updates_);
     }
@@ -118,21 +123,26 @@ class Tage : public Predictor
     {
         state::readVec(r, base_,
                        [](state::Reader &in, uint8_t &c) { c = in.u8(); });
-        panicIf(r.u64() != tables_.size(),
+        panicIf(r.u64() != config_.numTables,
                 "Tage restore: tagged-table count mismatch");
-        for (auto &table : tables_)
-            state::readVec(r, table, [](state::Reader &in, Entry &e) {
+        for (unsigned t = 0; t < config_.numTables; ++t)
+            state::readSpan(r, table(t), [](state::Reader &in, Entry &e) {
                 e.tag = in.u16();
                 e.ctr = in.u8();
                 e.useful = in.u8();
             });
         history_.restore(r);
         updates_ = r.u64();
+        latch_.valid = false;
     }
 
-    COPRA_CONFIG_FIELDS(config_, lengths_);
+    COPRA_CONFIG_FIELDS(config_, lengths_, hashes_);
     COPRA_STATE_FIELDS(base_, tables_, history_, updates_);
-    COPRA_TRANSIENT_FIELDS(stats_);
+    // latch_ carries predict()'s lookup into the matching update(); it
+    // is a cache of a pure function of (pc, state), so it is never
+    // serialized and update() recomputes whenever it is not valid for
+    // the branch at hand.
+    COPRA_TRANSIENT_FIELDS(stats_, latch_);
 
   protected:
     /** One tagged-table entry. */
@@ -152,28 +162,62 @@ class Tage : public Predictor
     virtual void allocateEntry(Entry &slot, uint16_t tag, bool taken) noexcept;
 
   private:
-    /** Provider/alternate selection for one pc under current history. */
-    struct Lookup
+    static constexpr unsigned kMaxTables = 8;
+
+    /** Fold channels of one tagged table's index and tag hashes. */
+    struct TableHash
     {
-        int provider = -1;   //!< tagged table index, -1 = base
-        int alt = -1;        //!< next-longest match below provider
-        bool prediction = false;
-        bool altPrediction = false;
+        unsigned index = 0;  //!< fold(L, tableBits)
+        unsigned tag = 0;    //!< fold(L, tagBits)
+        unsigned tagAlt = 0; //!< fold(L, tagBits - 1), if tagBits > 1
     };
 
-    Lookup lookup(uint64_t pc) const noexcept;
-    size_t indexOf(unsigned table, uint64_t pc) const noexcept;
-    uint16_t tagOf(unsigned table, uint64_t pc) const noexcept;
+    /**
+     * Provider/alternate selection for one pc under current history,
+     * with every tagged table's index and tag so training and
+     * allocation need not rehash.
+     */
+    struct Lookup
+    {
+        uint64_t pc = 0;
+        bool valid = false; //!< latch_ only: computed for pc, unconsumed
+        int provider = -1;  //!< tagged table index, -1 = base
+        bool prediction = false;
+        bool altPrediction = false;
+        uint32_t index[kMaxTables] = {};
+        uint16_t tag[kMaxTables] = {};
+    };
+
+    void lookup(uint64_t pc, Lookup &out) const noexcept;
+    size_t indexOf(unsigned t, uint64_t pc) const noexcept;
+    uint16_t tagOf(unsigned t, uint64_t pc) const noexcept;
     bool counterTaken(uint8_t ctr, unsigned bits) const noexcept;
     static void bumpCounter(uint8_t &ctr, unsigned bits, bool up) noexcept;
 
+    /** Tagged table @p t: a stride-sized slice of tables_. */
+    std::span<Entry>
+    table(unsigned t) noexcept
+    {
+        const size_t stride = size_t(1) << config_.tableBits;
+        return {tables_.data() + t * stride, stride};
+    }
+
+    std::span<const Entry>
+    table(unsigned t) const noexcept
+    {
+        const size_t stride = size_t(1) << config_.tableBits;
+        return {tables_.data() + t * stride, stride};
+    }
+
     TageConfig config_;
-    std::vector<uint8_t> base_;              //!< bimodal counters (2-bit)
-    std::vector<std::vector<Entry>> tables_; //!< tagged tables
-    std::vector<unsigned> lengths_;          //!< per-table history length
+    std::vector<uint8_t> base_;     //!< bimodal counters (2-bit)
+    std::vector<Entry> tables_;     //!< tagged tables, table-major
+    std::vector<unsigned> lengths_; //!< per-table history length
+    std::vector<TableHash> hashes_; //!< per-table fold channels
     FoldedHistory history_;
     uint64_t updates_ = 0; //!< branches trained since reset (drives aging)
     TageStats stats_;
+    Lookup latch_; //!< predict()'s lookup, consumed by update()
 };
 
 } // namespace copra::predictor

@@ -4,15 +4,19 @@
  * full factory roster must pass every gate, the planted hidden-state
  * bug must be caught by the round-trip (snapshot-completeness) probe
  * specifically, snapshot primitives must panic loudly on malformed
- * input, and the generated STATE_BUDGETS table must cover the roster.
+ * input, the generated STATE_BUDGETS table must cover the roster, and
+ * the snapshot bytes of the modern roster after a fixed replay are
+ * pinned so internal layout changes cannot move the format.
  */
 
 #include <gtest/gtest.h>
 
 #include "check/differential.hpp"
+#include "check/fuzz.hpp"
 #include "check/state_gates.hpp"
 #include "predictor/factory.hpp"
 #include "predictor/state.hpp"
+#include "sim/driver.hpp"
 
 using namespace copra;
 using namespace copra::check;
@@ -76,4 +80,45 @@ TEST(StateBudgets, TableCoversEveryKnownPredictor)
     for (const std::string &spec : predictor::knownPredictors())
         EXPECT_NE(doc.find("| " + spec + " |"), std::string::npos)
             << "STATE_BUDGETS table is missing spec '" << spec << "'";
+}
+
+TEST(StateFormat, ModernRosterSnapshotHashesArePinned)
+{
+    // stateHash() after replaying fuzz trace 29 through the default
+    // TAGE and perceptron geometries and the state-gate ones. The
+    // values were recorded from the nested-vector tables and stateless
+    // folds; flattened tables and incremental fold channels must
+    // serialize to exactly the same bytes. Both the scalar
+    // predict()/update() replay and the sim::run driver path must land
+    // on the pinned state.
+    struct Pin
+    {
+        const char *spec;
+        uint64_t hash;
+    };
+    const Pin pins[] = {
+        {"tage", 0x951c50be81610e4full},
+        {"perceptron", 0x135bb302c3027feull},
+        {"tage:base=6,tbits=5,tag=7,tables=4,hmin=3,hmax=20",
+         0xe063c03d128f43afull},
+        {"perceptron:tbits=6,tables=4,seg=6", 0xb0682c6770799645ull},
+    };
+    trace::Trace trace = fuzzTrace(29, 6000);
+    for (const Pin &pin : pins) {
+        predictor::PredictorPtr scalar = predictor::makePredictor(pin.spec);
+        for (const trace::BranchRecord &rec : trace.records()) {
+            if (!rec.isConditional()) {
+                scalar->observe(rec);
+                continue;
+            }
+            scalar->predict(rec);
+            scalar->update(rec, rec.taken);
+        }
+        EXPECT_EQ(scalar->stateHash(), pin.hash)
+            << pin.spec << " hash 0x" << std::hex << scalar->stateHash();
+
+        predictor::PredictorPtr driven = predictor::makePredictor(pin.spec);
+        sim::run(trace, *driven);
+        EXPECT_EQ(driven->stateHash(), pin.hash) << pin.spec;
+    }
 }

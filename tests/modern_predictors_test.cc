@@ -309,5 +309,66 @@ TEST(ModernRoster, ResetRestoresInitialPredictions)
     }
 }
 
+TEST(ModernRoster, UpdateWithoutItsPredictRecomputesTheLookup)
+{
+    // TAGE and the perceptron latch predict()'s lookup for update().
+    // An update() that does not follow its own predict() must ignore
+    // the latch and land on exactly the state of the plain
+    // predict(); update() sequence: update() alone, after predict() of
+    // another pc, and after a repeated predict() of the same pc.
+    for (const char *spec :
+         {"tage", "perceptron", "tage:base=6,tbits=5,tag=5,tables=4",
+          "perceptron:tbits=6,tables=4,seg=5"}) {
+        PredictorPtr plain = makePredictor(spec);
+        PredictorPtr mixed = makePredictor(spec);
+        Rng rng(17);
+        for (int i = 0; i < 6000; ++i) {
+            uint64_t pc = 0x400 + 4 * rng.index(64);
+            trace::BranchRecord br = cond(pc, rng.bernoulli(0.6));
+            bool expected = plain->predict(br);
+            plain->update(br, br.taken);
+            switch (i % 3) {
+              case 0:
+                break;
+              case 1:
+                mixed->predict(cond(pc + 4, br.taken));
+                break;
+              default:
+                mixed->predict(br);
+                EXPECT_EQ(mixed->predict(br), expected) << spec;
+                break;
+            }
+            mixed->update(br, br.taken);
+            if (i % 500 == 499) {
+                ASSERT_EQ(mixed->stateHash(), plain->stateHash())
+                    << spec << " after branch " << i;
+            }
+        }
+    }
+}
+
+TEST(ModernRoster, RestoreInvalidatesTheLookupLatch)
+{
+    // A latch computed before restoreState() describes the old state;
+    // the update() after the restore must recompute from the new one.
+    for (const char *spec : {"tage", "perceptron"}) {
+        PredictorPtr warm = makePredictor(spec);
+        sim::run(workload::biasedTrace(0x100, 0.7, 3000, 5), *warm);
+        std::vector<uint8_t> snap = warm->snapshot();
+        trace::BranchRecord br = cond(0x100, false);
+
+        PredictorPtr latched = makePredictor(spec);
+        latched->predict(br);
+        latched->restore(snap);
+        latched->update(br, false);
+
+        PredictorPtr reference = makePredictor(spec);
+        reference->restore(snap);
+        reference->predict(br);
+        reference->update(br, false);
+        EXPECT_EQ(latched->stateHash(), reference->stateHash()) << spec;
+    }
+}
+
 } // namespace
 } // namespace copra::predictor
