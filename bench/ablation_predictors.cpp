@@ -41,7 +41,7 @@ BM_Predictor(benchmark::State &state, const std::string &spec)
 /**
  * Reference scalar loop: two virtual calls per branch, the driver's
  * pre-batching behaviour. The delta against BM_Predictor (which goes
- * through sim::run and therefore TwoLevel::predictUpdateBatch) is the
+ * through sim::run and therefore TwoLevel::predictUpdateSoa) is the
  * devirtualization win.
  */
 void

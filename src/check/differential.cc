@@ -1,7 +1,6 @@
 #include "check/differential.hpp"
 
 #include <algorithm>
-#include <span>
 #include <sstream>
 #include <unordered_map>
 
@@ -49,60 +48,24 @@ scalarPredictions(const Trace &trace, predictor::Predictor &pred)
 }
 
 std::vector<uint8_t>
-batchedPredictions(const Trace &trace, predictor::Predictor &pred)
-{
-    // Mirror the driver's historical AoS batching: maximal runs of
-    // consecutive conditional records go through predictUpdateBatch; the
-    // per-branch prediction is recovered from the correctness bit and
-    // the outcome.
-    std::span<const BranchRecord> records = trace.records();
-    std::vector<uint8_t> out;
-    out.reserve(trace.conditionalCount());
-    std::vector<uint8_t> correct;
-    size_t i = 0;
-    while (i < records.size()) {
-        if (!records[i].isConditional()) {
-            pred.observe(records[i]);
-            ++i;
-            continue;
-        }
-        size_t end = i + 1;
-        while (end < records.size() && records[end].isConditional())
-            ++end;
-        size_t count = end - i;
-        if (correct.size() < count)
-            correct.resize(count);
-        std::span<const BranchRecord> batch(&records[i], count);
-        pred.predictUpdateBatch(batch, correct.data());
-        for (size_t k = 0; k < count; ++k) {
-            bool prediction = correct[k] ? batch[k].taken : !batch[k].taken;
-            out.push_back(prediction ? 1 : 0);
-        }
-        i = end;
-    }
-    return out;
-}
-
-std::vector<uint8_t>
 soaPredictions(const Trace &trace, predictor::Predictor &pred)
 {
     // Mirror sim::run exactly: conditional segments of the cached SoA
     // image go through predictUpdateSoa (the specialized column
     // kernels), non-conditionals through observe() in trace order.
     const trace::SoABlocks &soa = trace.soa();
-    std::span<const BranchRecord> records = trace.records();
     std::vector<uint8_t> out;
     out.reserve(trace.conditionalCount());
     std::vector<uint8_t> correct;
     size_t pos = 0;
     for (const trace::SoABlocks::Segment &seg : soa.conditionalSegments()) {
         for (; pos < seg.begin; ++pos)
-            pred.observe(records[pos]);
+            pred.observe(soa.recordAt(pos));
         if (correct.size() < seg.count)
             correct.resize(seg.count);
         predictor::SoaBatch batch{soa.pc() + seg.begin,
-                                  soa.taken() + seg.begin,
-                                  records.data() + seg.begin, seg.count};
+                                  soa.target() + seg.begin,
+                                  soa.taken() + seg.begin, seg.count};
         pred.predictUpdateSoa(batch, correct.data());
         const uint8_t *taken = batch.taken;
         for (size_t k = 0; k < seg.count; ++k) {
@@ -112,8 +75,8 @@ soaPredictions(const Trace &trace, predictor::Predictor &pred)
         }
         pos = seg.begin + seg.count;
     }
-    for (; pos < records.size(); ++pos)
-        pred.observe(records[pos]);
+    for (; pos < soa.size(); ++pos)
+        pred.observe(soa.recordAt(pos));
     return out;
 }
 
@@ -214,10 +177,6 @@ diffPair(const Trace &trace, const CheckPair &pair, bool check_parallel)
     diffStreams(trace, pair.name, "scalar", want,
                 scalarPredictions(trace, *scalar), result.mismatches);
 
-    PredictorPtr batched = pair.optimized();
-    diffStreams(trace, pair.name, "batched", want,
-                batchedPredictions(trace, *batched), result.mismatches);
-
     PredictorPtr soa = pair.optimized();
     diffStreams(trace, pair.name, "soa", want,
                 soaPredictions(trace, *soa), result.mismatches);
@@ -271,7 +230,7 @@ minimizeTrace(const Trace &trace,
               const std::function<bool(const Trace &)> &still_fails,
               unsigned max_rounds)
 {
-    std::span<const BranchRecord> window = trace.records();
+    trace::RecordView window = trace.records();
     std::vector<BranchRecord> records(window.begin(), window.end());
     size_t chunk = std::max<size_t>(1, records.size() / 2);
     unsigned rounds = 0;
@@ -511,7 +470,7 @@ runCheckSuite(const SuiteOptions &options,
             failure.seed = seed;
             failure.first = diff.mismatches.front();
             if (options.minimize) {
-                // Shrink against the cheap paths only (scalar+batched);
+                // Shrink against the cheap paths only (scalar+soa);
                 // the parallel path adds nothing to localization.
                 failure.reproducer = minimizeTrace(
                     trace, [&pair](const Trace &candidate) {
@@ -623,9 +582,9 @@ class BuggyPas : public predictor::Predictor
 };
 
 /**
- * gshare whose batch path predicts each branch *before* applying the
- * previous branch's update — the scalar path is untouched, so only the
- * batched/run/parallel comparisons can catch it.
+ * gshare whose SoA batch path predicts each branch *before* applying
+ * the previous branch's update — the scalar path is untouched, so only
+ * the soa/run/parallel comparisons can catch it.
  */
 class BatchStaleGshare : public predictor::TwoLevel
 {
@@ -633,26 +592,23 @@ class BatchStaleGshare : public predictor::TwoLevel
     using TwoLevel::TwoLevel;
 
     uint64_t
-    predictUpdateBatch(std::span<const trace::BranchRecord> batch,
-                       uint8_t *correct_out) noexcept override
+    predictUpdateSoa(const predictor::SoaBatch &batch,
+                     uint8_t *correct_out) noexcept override
     {
         uint64_t n_correct = 0;
-        bool have_pending = false;
         trace::BranchRecord pending;
-        size_t i = 0;
-        for (const trace::BranchRecord &br : batch) {
+        for (size_t i = 0; i < batch.count; ++i) {
+            trace::BranchRecord br = batch.recordAt(i);
             bool prediction = predict(br); // BUG: pending update missing
-            if (have_pending)
+            if (i != 0)
                 update(pending, pending.taken);
             pending = br;
-            have_pending = true;
             bool correct = prediction == br.taken;
             n_correct += correct ? 1 : 0;
             if (correct_out)
                 correct_out[i] = correct ? 1 : 0;
-            ++i;
         }
-        if (have_pending)
+        if (batch.count != 0)
             update(pending, pending.taken);
         return n_correct;
     }
@@ -660,10 +616,10 @@ class BatchStaleGshare : public predictor::TwoLevel
 
 /**
  * gshare whose SoA kernel path trains the counter and history *before*
- * predicting each branch. The scalar, batched and default paths all
- * inherit correct TwoLevel behaviour, so only the "soa" stream (and the
- * sim::run aggregates built on it) can catch this — the self-test that
- * proves the harness actually exercises the column-kernel path.
+ * predicting each branch. The scalar path inherits correct TwoLevel
+ * behaviour, so only the "soa" stream (and the sim::run aggregates
+ * built on it) can catch this — the self-test that proves the harness
+ * actually exercises the column-kernel path.
  */
 class SoaPrematureTrainGshare : public predictor::TwoLevel
 {
@@ -676,7 +632,7 @@ class SoaPrematureTrainGshare : public predictor::TwoLevel
     {
         uint64_t n_correct = 0;
         for (size_t i = 0; i < batch.count; ++i) {
-            const trace::BranchRecord &br = batch.records[i];
+            trace::BranchRecord br = batch.recordAt(i);
             update(br, br.taken); // BUG: trains before predicting
             bool prediction = predict(br);
             bool correct = prediction == br.taken;

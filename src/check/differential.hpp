@@ -2,8 +2,7 @@
  * @file
  * The differential runner: replays a trace through an optimized
  * predictor along every execution path the simulator offers — the
- * classic scalar predict()/update() sequence, the devirtualized
- * predictUpdateBatch() path, the SoA column-kernel path
+ * classic scalar predict()/update() sequence, the SoA batch path
  * (predictUpdateSoa, what sim::run actually feeds), sim::run(), and
  * sim::runAllParallel() — and diffs each against a clarity-first
  * reference model (check/ref_models.hpp) on a per-branch basis.
@@ -56,8 +55,7 @@ std::vector<CheckPair> defaultCheckPairs();
 struct Mismatch
 {
     std::string pair;   //!< CheckPair name
-    std::string path;   //!< "scalar", "batched", "soa", "run" or
-                        //!< "parallel"
+    std::string path;   //!< "scalar", "soa", "run" or "parallel"
     size_t index = 0;   //!< conditional-branch index (or ~0 = aggregate)
     uint64_t pc = 0;    //!< pc of the diverging branch
     bool expected = false; //!< reference prediction
@@ -81,13 +79,6 @@ struct DiffResult
  */
 std::vector<uint8_t> scalarPredictions(const trace::Trace &trace,
                                        predictor::Predictor &pred);
-
-/**
- * Per-conditional prediction stream using predictUpdateBatch() over
- * maximal conditional runs — the exact batching sim::run() performs.
- */
-std::vector<uint8_t> batchedPredictions(const trace::Trace &trace,
-                                        predictor::Predictor &pred);
 
 /**
  * Per-conditional prediction stream using predictUpdateSoa() over the
@@ -160,8 +151,8 @@ std::string formatReport(const SuiteReport &report);
 enum class InjectedBug : uint8_t
 {
     PasHistoryOffByOne = 0, //!< PAs update trains the neighboring BHT row
-    GshareBatchStaleHistory, //!< batch path predicts before applying the
-                             //!< previous branch's history update
+    GshareBatchStaleHistory, //!< SoA batch path predicts before applying
+                             //!< the previous branch's update
     LoopTripOffByOne,        //!< learned trip count is run + 1
     GshareSoaPrematureTrain, //!< SoA kernel path trains the counter and
                              //!< history before predicting; every other

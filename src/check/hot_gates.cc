@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <span>
 #include <sstream>
 
 #include "check/fuzz.hpp"
@@ -29,30 +28,26 @@ std::atomic<bool> g_allocProbeLinked{false};
 /**
  * One full replay along the path sim::run drives: conditional SoA
  * segments through predictUpdateSoa, everything else through
- * observe(). The SoA image and record span are caller-materialized —
- * Trace::soa() guards its lazy cache with a mutex, and the measured
- * region must take no locks of its own. @p correct is caller-owned
- * scratch, pre-sized to the largest segment, so the measured region
- * itself allocates nothing either.
+ * observe(). @p correct is caller-owned scratch, pre-sized to the
+ * largest segment, so the measured region itself allocates nothing.
  */
 void
-soaReplay(const trace::SoABlocks &soa,
-          std::span<const trace::BranchRecord> records,
-          predictor::Predictor &pred, std::vector<uint8_t> &correct)
+soaReplay(const trace::SoABlocks &soa, predictor::Predictor &pred,
+          std::vector<uint8_t> &correct)
 {
     size_t pos = 0;
     for (const trace::SoABlocks::Segment &seg :
          soa.conditionalSegments()) {
         for (; pos < seg.begin; ++pos)
-            pred.observe(records[pos]);
+            pred.observe(soa.recordAt(pos));
         predictor::SoaBatch batch{soa.pc() + seg.begin,
-                                  soa.taken() + seg.begin,
-                                  records.data() + seg.begin, seg.count};
+                                  soa.target() + seg.begin,
+                                  soa.taken() + seg.begin, seg.count};
         pred.predictUpdateSoa(batch, correct.data());
         pos = seg.begin + seg.count;
     }
-    for (; pos < records.size(); ++pos)
-        pred.observe(records[pos]);
+    for (; pos < soa.size(); ++pos)
+        pred.observe(soa.recordAt(pos));
 }
 
 /** Largest conditional segment of @p soa (scratch sizing). */
@@ -134,12 +129,7 @@ runHotGates(const HotGateOptions &options,
         for (uint64_t seed = options.seedBase;
              seed < options.seedBase + options.traces; ++seed) {
             trace::Trace trace = fuzzTrace(seed, options.conditionals);
-            // Materialize the SoA image here: Trace::soa() locks its
-            // lazy cache on every call, so the measured passes work
-            // from direct references.
             const trace::SoABlocks &soa = trace.soa();
-            std::span<const trace::BranchRecord> records =
-                trace.records();
             std::vector<uint8_t> correct(maxSegment(soa));
 
             // Warm-up: first-touch table fills, then history-keyed
@@ -150,13 +140,13 @@ runHotGates(const HotGateOptions &options,
             predictor::PredictorPtr pred = entry.make();
             for (uint64_t pass = 0; pass < options.warmupPasses;
                  ++pass)
-                soaReplay(soa, records, *pred, correct);
+                soaReplay(soa, *pred, correct);
 
             for (uint64_t pass = 0; pass < options.steadyPasses;
                  ++pass) {
                 uint64_t allocs_before = hotAllocCount();
                 uint64_t locks_before = util::lockAcquisitionCount();
-                soaReplay(soa, records, *pred, correct);
+                soaReplay(soa, *pred, correct);
                 uint64_t alloc_delta =
                     hotAllocCount() - allocs_before;
                 uint64_t lock_delta =

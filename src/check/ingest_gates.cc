@@ -113,13 +113,18 @@ recordsEqual(const Trace &a, const Trace &b)
 bool
 structurallyValid(const Trace &t, std::string &detail)
 {
+    const trace::SoABlocks &soa = t.soa();
     uint64_t conditionals = 0;
-    for (const BranchRecord &rec : t.records()) {
-        if (static_cast<uint8_t>(rec.kind) > 3) {
+    for (size_t i = 0; i < soa.size(); ++i) {
+        if (soa.kind()[i] > 3) {
             detail = "invalid kind escaped validation";
             return false;
         }
-        if (rec.isConditional())
+        if (soa.taken()[i] > 1) {
+            detail = "taken byte other than 0/1 escaped validation";
+            return false;
+        }
+        if (soa.kind()[i] == 0)
             ++conditionals;
     }
     if (conditionals != t.conditionalCount()) {

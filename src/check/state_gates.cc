@@ -6,7 +6,6 @@
 
 #include "check/state_gates.hpp"
 
-#include <span>
 #include <sstream>
 
 #include "check/fuzz.hpp"
@@ -17,10 +16,9 @@ namespace copra::check {
 
 namespace {
 
-/** Scalar replay of a record span; returns the prediction stream. */
+/** Scalar replay of a record window; returns the prediction stream. */
 std::vector<uint8_t>
-replaySpan(std::span<const trace::BranchRecord> records,
-           predictor::Predictor &pred)
+replaySpan(trace::RecordView records, predictor::Predictor &pred)
 {
     std::vector<uint8_t> out;
     for (const trace::BranchRecord &rec : records) {
@@ -132,7 +130,7 @@ roundTripGate(const StatePredictor &entry, const trace::Trace &trace,
               uint64_t seed, StateGateReport &report)
 {
     ++report.gatesRun;
-    std::span<const trace::BranchRecord> records = trace.records();
+    trace::RecordView records = trace.records();
     size_t half = records.size() / 2;
 
     predictor::PredictorPtr original = entry.make();

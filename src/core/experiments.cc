@@ -64,10 +64,6 @@ BenchmarkExperiment::BenchmarkExperiment(const std::string &name,
 {
     obs::PhaseTimer guard = traceGuard(times_);
     trace_ = makeExperimentTrace(name, config);
-    // Build the shared SoA image (and its static index) here, inside
-    // the trace phase: it is trace preparation, not predictor work, and
-    // every predictor pass then starts on warm columns.
-    trace_.soa();
 }
 
 BenchmarkExperiment::BenchmarkExperiment(trace::Trace trace,

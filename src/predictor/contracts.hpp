@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <type_traits>
 
@@ -84,12 +83,11 @@ struct PredictorContract
                   "copra predictor contract: predictor teardown runs "
                   "inside ledger unwinding and must not throw");
     static_assert(
-        std::is_invocable_r_v<uint64_t, decltype(&P::predictUpdateBatch),
-                              P &, std::span<const trace::BranchRecord>,
-                              uint8_t *>,
+        std::is_invocable_r_v<uint64_t, decltype(&P::predictUpdateSoa),
+                              P &, const SoaBatch &, uint8_t *>,
         "copra predictor contract: predictors must expose "
-        "predictUpdateBatch(span<const BranchRecord>, uint8_t*) -> "
-        "uint64_t — the driver's batched inner loop feeds it directly");
+        "predictUpdateSoa(const SoaBatch&, uint8_t*) -> uint64_t — the "
+        "driver's batched inner loop feeds it directly");
     static_assert(
         std::is_invocable_r_v<std::string, decltype(&P::name), const P &>,
         "copra predictor contract: name() must be const-callable and "

@@ -25,16 +25,22 @@ namespace copra::predictor {
 
 /**
  * One run of consecutive conditional branches in structure-of-arrays
- * form (columns borrowed from trace::SoABlocks, offset to the run).
- * records points at the same branches in AoS form so the default
- * predictUpdateSoa can fall back to the record-based batch path.
+ * form: columns borrowed from trace::SoABlocks, offset to the run.
  */
 struct SoaBatch
 {
-    const uint64_t *pc = nullptr;    //!< branch addresses
-    const uint8_t *taken = nullptr;  //!< outcomes, 0/1
-    const trace::BranchRecord *records = nullptr; //!< AoS mirror
+    const uint64_t *pc = nullptr;     //!< branch addresses
+    const uint64_t *target = nullptr; //!< taken-path targets
+    const uint8_t *taken = nullptr;   //!< outcomes, 0/1
     size_t count = 0;
+
+    /** Branch @p i of the run as a record. */
+    trace::BranchRecord
+    recordAt(size_t i) const noexcept
+    {
+        return {pc[i], target[i], trace::BranchKind::Conditional,
+                taken[i] != 0};
+    }
 };
 
 /**
@@ -44,8 +50,8 @@ struct SoaBatch
  * dynamic conditional branch, in trace order. predict() must not examine
  * the record's `taken` field — the outcome is delivered via update().
  *
- * The five prediction-path virtuals (predict, update, observe, and the
- * two batch entry points) are `noexcept`: they sit inside the
+ * The four prediction-path virtuals (predict, update, observe, and the
+ * batch entry point) are `noexcept`: they sit inside the
  * COPRA_HOT region, which is exception-free, allocation-free, and
  * lock-free per branch after warm-up (DESIGN.md §15). Contract
  * violations still die loudly through the [[noreturn]] panic/fatal
@@ -87,43 +93,15 @@ class Predictor
     /**
      * Predict-and-train a run of consecutive conditional branches in
      * one call, equivalent to predict(); update(rec, rec.taken) per
-     * record in order. The simulation driver feeds batches through this
-     * entry point so hot predictors can override it with a devirtualized
-     * inner loop; the default keeps the two-virtual-calls-per-branch
-     * behaviour, so overriding is purely an optimization and never
-     * changes results.
-     *
-     * @param batch Consecutive conditional records, in trace order.
-     * @param correct_out When non-null, receives one 0/1 entry per
-     *                    record: was the prediction correct?
-     * @return Number of correct predictions in the batch.
-     */
-    COPRA_HOT virtual uint64_t
-    predictUpdateBatch(std::span<const trace::BranchRecord> batch,
-                       uint8_t *correct_out) noexcept
-    {
-        uint64_t n_correct = 0;
-        size_t i = 0;
-        for (const trace::BranchRecord &br : batch) {
-            bool correct = predict(br) == br.taken;
-            update(br, br.taken);
-            n_correct += correct ? 1 : 0;
-            if (correct_out)
-                correct_out[i] = correct ? 1 : 0;
-            ++i;
-        }
-        return n_correct;
-    }
-
-    /**
-     * Column-based twin of predictUpdateBatch: the driver hands each
-     * conditional run as SoA columns so hot predictors can run batch
-     * index kernels over contiguous pc/taken arrays (see
-     * predictor/kernels.hpp). The default routes through
-     * predictUpdateBatch via the batch's AoS mirror, so overriding is
-     * purely an optimization and never changes results — the
-     * differential suite compares every overriding predictor against
-     * the scalar path.
+     * branch in order. The simulation driver hands each conditional
+     * run as SoA columns so hot predictors can override this with a
+     * devirtualized loop or batch index kernels over contiguous
+     * pc/taken arrays (see predictor/kernels.hpp). The default builds
+     * each record on the stack (SoaBatch::recordAt) and keeps the
+     * two-virtual-calls-per-branch behaviour, so overriding is purely
+     * an optimization and never changes results — the differential
+     * suite compares every overriding predictor against the scalar
+     * path.
      *
      * @param batch Consecutive conditional branches, in trace order.
      * @param correct_out When non-null, receives one 0/1 entry per
@@ -133,8 +111,16 @@ class Predictor
     COPRA_HOT virtual uint64_t
     predictUpdateSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept
     {
-        return predictUpdateBatch({batch.records, batch.count},
-                                  correct_out);
+        uint64_t n_correct = 0;
+        for (size_t i = 0; i < batch.count; ++i) {
+            trace::BranchRecord br = batch.recordAt(i);
+            bool correct = predict(br) == br.taken;
+            update(br, br.taken);
+            n_correct += correct ? 1 : 0;
+            if (correct_out)
+                correct_out[i] = correct ? 1 : 0;
+        }
+        return n_correct;
     }
 
     /** Forget all adaptive state. */

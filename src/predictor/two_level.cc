@@ -161,35 +161,6 @@ TwoLevel::update(const trace::BranchRecord &br, bool taken) noexcept
 }
 
 uint64_t
-TwoLevel::predictUpdateBatch(std::span<const trace::BranchRecord> batch,
-                             uint8_t *correct_out) noexcept
-{
-    uint64_t n_correct = 0;
-    size_t i = 0;
-    for (const trace::BranchRecord &br : batch) {
-        uint8_t &counter = pht_[phtIndex(br.pc)];
-        bool prediction = counter > counterInit_;
-        bool taken = br.taken;
-        if (taken) {
-            if (counter < counterMax_)
-                ++counter;
-        } else {
-            if (counter > 0)
-                --counter;
-        }
-        uint64_t &hist = historyFor(br.pc);
-        hist = ((hist << 1) | (taken ? 1 : 0)) & historyMask_;
-
-        bool correct = prediction == taken;
-        n_correct += correct ? 1 : 0;
-        if (correct_out)
-            correct_out[i] = correct ? 1 : 0;
-        ++i;
-    }
-    return n_correct;
-}
-
-uint64_t
 TwoLevel::predictUpdateSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept
 {
     if (batch.count == 0)
@@ -265,7 +236,7 @@ TwoLevel::runPerAddressSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept
     // Per-address histories serialize on the BHT row, so only the row
     // lookup vectorizes; the PHT index still needs the just-updated
     // row history. Hoisting the index flavour out of the loop is the
-    // remaining win over the record-based batch path.
+    // remaining win over the scalar predict/update path.
     const kernels::Kernels &k = *kernels_;
     const uint64_t select_mask =
         (uint64_t(1) << config_.pcSelectBits) - 1;

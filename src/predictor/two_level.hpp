@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -98,11 +97,6 @@ class TwoLevel : public Predictor
 
     bool predict(const trace::BranchRecord &br) noexcept override;
     void update(const trace::BranchRecord &br, bool taken) noexcept override;
-
-    /** Devirtualized batch loop (same results as predict + update). */
-    uint64_t
-    predictUpdateBatch(std::span<const trace::BranchRecord> batch,
-                       uint8_t *correct_out) noexcept override;
 
     /**
      * Column-kernel batch path (same results as predict + update):

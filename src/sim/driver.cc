@@ -13,9 +13,8 @@
 namespace copra::sim {
 
 LoopTotals
-runLoop(const trace::SoABlocks &soa,
-        std::span<const trace::BranchRecord> records,
-        predictor::Predictor &pred, uint8_t *correct_scratch,
+runLoop(const trace::SoABlocks &soa, predictor::Predictor &pred,
+        uint8_t *correct_scratch,
         uint64_t *packed, BranchTally *tallies) noexcept
 {
     // Ledger path: accumulate per-branch tallies addressed by the
@@ -48,10 +47,10 @@ runLoop(const trace::SoABlocks &soa,
     size_t pos = 0;
     for (const trace::SoABlocks::Segment &seg : soa.conditionalSegments()) {
         for (; pos < seg.begin; ++pos)
-            pred.observe(records[pos]);
+            pred.observe(soa.recordAt(pos));
         predictor::SoaBatch batch{soa.pc() + seg.begin,
-                                  soa.taken() + seg.begin,
-                                  records.data() + seg.begin, seg.count};
+                                  soa.target() + seg.begin,
+                                  soa.taken() + seg.begin, seg.count};
         if (packed) {
             totals.correct +=
                 pred.predictUpdateSoa(batch, correct_scratch);
@@ -79,8 +78,8 @@ runLoop(const trace::SoABlocks &soa,
         totals.branches += seg.count;
         pos = seg.begin + seg.count;
     }
-    for (; pos < records.size(); ++pos)
-        pred.observe(records[pos]);
+    for (; pos < soa.size(); ++pos)
+        pred.observe(soa.recordAt(pos));
     if (packed)
         flush();
     return totals;
@@ -95,16 +94,15 @@ run(const trace::Trace &trace, predictor::Predictor &pred, Ledger *ledger)
     // Feed maximal runs of consecutive conditional branches through the
     // SoA batch entry point: predictors with specialized kernels
     // (TwoLevel, Bimodal) consume the contiguous pc/taken columns
-    // directly, and everything else falls back — via the batch's AoS
-    // mirror — to the record-based batch default, which reproduces the
-    // classic predict/update call sequence exactly. Non-conditional
-    // records between runs are delivered to observe() in trace order.
+    // directly, and everything else falls back to the default, which
+    // builds each record on the stack and reproduces the classic
+    // predict/update call sequence exactly. Non-conditional records
+    // between runs are delivered to observe() in trace order.
     //
     // Every buffer the loop touches is allocated here, before runLoop:
     // the loop itself is the COPRA_HOT region and performs no heap
     // allocation of its own (`copra_check --hot-gates` enforces this).
     const trace::SoABlocks &soa = trace.soa();
-    std::span<const trace::BranchRecord> records = trace.records();
     std::vector<BranchTally> tallies(ledger ? soa.staticCount() : 0);
     std::vector<uint64_t> packed(tallies.size(), 0);
     size_t maxSegment = 0;
@@ -115,7 +113,7 @@ run(const trace::Trace &trace, predictor::Predictor &pred, Ledger *ledger)
     std::vector<uint8_t> correct(maxSegment);
 
     LoopTotals totals =
-        runLoop(soa, records, pred, correct.data(),
+        runLoop(soa, pred, correct.data(),
                 ledger ? packed.data() : nullptr,
                 ledger ? tallies.data() : nullptr);
     result.correct = totals.correct;
@@ -148,8 +146,8 @@ runAll(const trace::Trace &trace,
     // One full pass per predictor over the shared SoA image. Predictors
     // own all their adaptive state, so per-predictor passes produce
     // exactly the branch-interleaved results — every ledger covers the
-    // same dynamic branches — while each pass streams the cached
-    // columns instead of re-decoding records.
+    // same dynamic branches — while each pass streams the trace's
+    // columns.
     std::vector<RunResult> results(preds.size());
     for (size_t i = 0; i < preds.size(); ++i)
         results[i] = run(trace, *preds[i],
@@ -168,11 +166,6 @@ runAllParallel(const trace::Trace &trace,
         ledgers->clear();
         ledgers->resize(preds.size());
     }
-
-    // Build the shared SoA image once, before the fan-out, so worker
-    // threads only ever read it (the lazy build in soa() is locked, but
-    // prebuilding keeps the hot path contention-free).
-    trace.soa();
 
     // Each predictor owns its adaptive state and writes only its own
     // result slot and ledger; the trace is shared read-only. Sharding by

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -93,10 +92,9 @@ struct LoopTotals
  * allocator to prove the claim at runtime.
  */
 COPRA_HOT LoopTotals
-runLoop(const trace::SoABlocks &soa,
-        std::span<const trace::BranchRecord> records,
-        predictor::Predictor &pred, uint8_t *correct_scratch,
-        uint64_t *packed, BranchTally *tallies) noexcept;
+runLoop(const trace::SoABlocks &soa, predictor::Predictor &pred,
+        uint8_t *correct_scratch, uint64_t *packed,
+        BranchTally *tallies) noexcept;
 
 /**
  * Run several predictors over the same trace in a single pass, so every

@@ -18,127 +18,4 @@ branchKindName(BranchKind kind)
     return "unknown";
 }
 
-Trace::Trace()
-    : soaCache_(std::make_shared<SoaCache>())
-{
-}
-
-Trace::Trace(std::string name, uint64_t seed)
-    : name_(std::move(name)), seed_(seed),
-      soaCache_(std::make_shared<SoaCache>())
-{
-}
-
-void
-Trace::ensureOwned(size_t extra_capacity)
-{
-    if (!store_) {
-        store_ = std::make_shared<std::vector<BranchRecord>>();
-        store_->reserve(extra_capacity);
-        return;
-    }
-    // Mutating shared storage would be visible through every view, and
-    // appending into the middle of someone else's tail would corrupt
-    // it; either way, detach onto a private copy of our window first.
-    if (store_.use_count() > 1 || offset_ != 0 ||
-        count_ != store_->size()) {
-        auto owned = std::make_shared<std::vector<BranchRecord>>();
-        owned->reserve(count_ + extra_capacity);
-        owned->insert(owned->end(), store_->begin() + offset_,
-                      store_->begin() + offset_ + count_);
-        store_ = std::move(owned);
-        offset_ = 0;
-    }
-}
-
-void
-Trace::append(const BranchRecord &rec)
-{
-    ensureOwned(1);
-    store_->push_back(rec);
-    ++count_;
-    if (rec.isConditional())
-        ++conditionals_;
-}
-
-void
-Trace::appendTrace(const Trace &other)
-{
-    std::span<const BranchRecord> recs = other.records();
-    ensureOwned(recs.size());
-    store_->insert(store_->end(), recs.begin(), recs.end());
-    count_ += recs.size();
-    conditionals_ += other.conditionalCount();
-}
-
-void
-Trace::reserve(size_t n)
-{
-    ensureOwned(n);
-    store_->reserve(n);
-}
-
-void
-Trace::clear()
-{
-    store_.reset();
-    offset_ = 0;
-    count_ = 0;
-    conditionals_ = 0;
-    soaCache_ = std::make_shared<SoaCache>();
-}
-
-Trace
-Trace::prefix(uint64_t n_conditionals) const
-{
-    Trace out(name_, seed_);
-    out.store_ = store_;
-    out.offset_ = offset_;
-    if (n_conditionals >= conditionals_) {
-        out.count_ = count_;
-        out.conditionals_ = conditionals_;
-        // Same window as this trace: the SoA image is identical too.
-        out.soaCache_ = soaCache_;
-        return out;
-    }
-    std::span<const BranchRecord> recs = records();
-    uint64_t seen = 0;
-    size_t cut = 0;
-    for (; cut < recs.size(); ++cut) {
-        if (recs[cut].isConditional()) {
-            if (seen == n_conditionals)
-                break;
-            ++seen;
-        }
-    }
-    out.count_ = cut;
-    out.conditionals_ = seen;
-    return out;
-}
-
-const SoABlocks &
-Trace::soa() const
-{
-    util::MutexLock lock(soaCache_->mutex);
-    if (!soaCache_->blocks || soaCache_->blocks->size() != count_)
-        soaCache_->blocks = std::make_shared<SoABlocks>(records());
-    return *soaCache_->blocks;
-}
-
-Trace
-Trace::fromSoa(std::string name, uint64_t seed, SoABlocks blocks)
-{
-    Trace out(std::move(name), seed);
-    out.store_ = std::make_shared<std::vector<BranchRecord>>(
-        blocks.toRecords());
-    out.count_ = out.store_->size();
-    out.conditionals_ = blocks.conditionalCount();
-    {
-        util::MutexLock lock(out.soaCache_->mutex);
-        out.soaCache_->blocks =
-            std::make_shared<const SoABlocks>(std::move(blocks));
-    }
-    return out;
-}
-
 } // namespace copra::trace

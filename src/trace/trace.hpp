@@ -5,17 +5,77 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <span>
+#include <iterator>
 #include <string>
-#include <vector>
 
 #include "trace/branch_record.hpp"
 #include "trace/trace_soa.hpp"
-#include "util/sync.hpp"
 
 namespace copra::trace {
+
+/**
+ * Indexed view of a window of trace records. Records are materialized
+ * from the columns on access and yielded by value, so
+ * `for (const auto &rec : trace.records())` binds each to a temporary.
+ */
+class RecordView
+{
+  public:
+    /** Iterator yielding BranchRecord by value. */
+    class iterator
+    {
+      public:
+        using iterator_category = std::input_iterator_tag;
+        using value_type = BranchRecord;
+        using difference_type = std::ptrdiff_t;
+        using reference = BranchRecord;
+        using pointer = void;
+
+        iterator(const SoABlocks *soa, size_t i) : soa_(soa), i_(i) {}
+
+        BranchRecord operator*() const noexcept { return soa_->recordAt(i_); }
+        iterator &operator++() noexcept { ++i_; return *this; }
+        bool operator==(const iterator &other) const noexcept
+        {
+            return i_ == other.i_;
+        }
+
+      private:
+        const SoABlocks *soa_;
+        size_t i_;
+    };
+
+    RecordView(const SoABlocks &soa, size_t begin, size_t end)
+        : soa_(&soa), begin_(begin), end_(end)
+    {
+    }
+
+    size_t size() const noexcept { return end_ - begin_; }
+
+    BranchRecord
+    operator[](size_t i) const noexcept
+    {
+        return soa_->recordAt(begin_ + i);
+    }
+
+    iterator begin() const { return {soa_, begin_}; }
+    iterator end() const { return {soa_, end_}; }
+
+    /** Records [offset, offset + count), clamped to this view. */
+    RecordView
+    subspan(size_t offset, size_t count = ~size_t(0)) const
+    {
+        size_t b = begin_ + offset;
+        return {*soa_, b, count >= end_ - b ? end_ : b + count};
+    }
+
+  private:
+    const SoABlocks *soa_;
+    size_t begin_;
+    size_t end_;
+};
 
 /**
  * An in-memory branch trace: an ordered sequence of dynamic branch
@@ -25,24 +85,32 @@ namespace copra::trace {
  * simulation; all experiment passes iterate the same trace object so
  * per-branch comparisons are exactly aligned.
  *
- * Storage is shared copy-on-write: copying a Trace, or taking a
- * prefix() view, shares the underlying record array (no record is
- * copied); the first append to a trace whose storage is shared — or
- * whose window does not end at the storage tail — detaches it onto a
- * private copy, so views never observe later mutation.
- *
- * soa() exposes a lazily built, cached structure-of-arrays image of
- * the records (see trace_soa.hpp) reused across all predictor passes.
- * Building is thread-safe; as with the record array itself, mutating
- * a trace while another thread reads it is outside the contract.
+ * The trace is its column image (soa(), see trace_soa.hpp): the
+ * columns are owned, or borrowed from a mapped cache file that stays
+ * mapped for as long as any trace, copy or prefix view uses it.
+ * Copying a trace or taking a prefix() view copies no column; an
+ * append to shared or borrowed columns first moves the trace onto
+ * private ones, so views never observe later mutation. soa() is a
+ * plain accessor — the indexes are maintained as records arrive —
+ * and mutating a trace while another thread reads it is outside the
+ * contract.
  */
 class Trace
 {
   public:
-    Trace();
+    Trace() = default;
 
     /** @param name Benchmark / workload identification string. */
-    explicit Trace(std::string name, uint64_t seed = 0);
+    explicit Trace(std::string name, uint64_t seed = 0)
+        : name_(std::move(name)), seed_(seed)
+    {
+    }
+
+    /** A trace over an existing column image (loaders). */
+    Trace(std::string name, uint64_t seed, SoABlocks soa)
+        : name_(std::move(name)), seed_(seed), soa_(std::move(soa))
+    {
+    }
 
     /** Workload name this trace was generated from. */
     const std::string &name() const { return name_; }
@@ -57,82 +125,51 @@ class Trace
     void setSeed(uint64_t seed) { seed_ = seed; }
 
     /** Append one dynamic branch execution. */
-    void append(const BranchRecord &rec);
+    void append(const BranchRecord &rec) { soa_.append(rec); }
 
     /** Append every record of @p other in order (bulk concatenation). */
-    void appendTrace(const Trace &other);
+    void appendTrace(const Trace &other) { soa_.append(other.soa_); }
 
     /** Total records (all control-transfer kinds). */
-    size_t size() const { return count_; }
+    size_t size() const { return soa_.size(); }
 
     /** True when the trace holds no records. */
-    bool empty() const { return count_ == 0; }
+    bool empty() const { return soa_.size() == 0; }
 
     /** Number of conditional branch records. */
-    uint64_t conditionalCount() const { return conditionals_; }
+    uint64_t conditionalCount() const { return soa_.conditionalCount(); }
 
     /** Record at position @p i. */
-    const BranchRecord &operator[](size_t i) const
-    {
-        return (*store_)[offset_ + i];
-    }
+    BranchRecord operator[](size_t i) const { return soa_.recordAt(i); }
 
-    /** The record window (for range-for iteration and batch spans). */
-    std::span<const BranchRecord>
-    records() const
-    {
-        if (!store_)
-            return {};
-        return {store_->data() + offset_, count_};
-    }
+    /** Every record, in order (range-for and indexed access). */
+    RecordView records() const { return {soa_, 0, soa_.size()}; }
 
     /** Reserve storage for @p n records. */
-    void reserve(size_t n);
+    void reserve(size_t n) { soa_.reserve(n); }
 
     /** Remove all records. */
-    void clear();
+    void clear() { soa_ = SoABlocks(); }
 
     /**
      * A view of the first @p n_conditionals conditional branches (and
      * every non-conditional record interleaved before them). The view
-     * shares record storage with this trace — no records are copied.
+     * shares column storage with this trace — no records are copied.
      * Used to run experiments on a prefix of a long trace.
      */
-    Trace prefix(uint64_t n_conditionals) const;
+    Trace
+    prefix(uint64_t n_conditionals) const
+    {
+        return {name_, seed_, soa_.prefix(n_conditionals)};
+    }
 
-    /**
-     * The structure-of-arrays image of this trace, built on first use
-     * and cached (copies of the trace share the cache; prefix views
-     * build their own). Loaders that already hold columns install the
-     * image directly via fromSoa().
-     */
-    const SoABlocks &soa() const;
-
-    /**
-     * Build a trace directly from a column image: materializes the
-     * record array from the columns and installs @p blocks as the
-     * cached SoA, so a subsequent soa() call is free.
-     */
-    static Trace fromSoa(std::string name, uint64_t seed, SoABlocks blocks);
+    /** The column image every predictor pass streams. */
+    const SoABlocks &soa() const noexcept { return soa_; }
 
   private:
-    /** Lazily built SoA image; shared by copies of the same window. */
-    struct SoaCache
-    {
-        util::Mutex mutex;
-        std::shared_ptr<const SoABlocks> blocks COPRA_GUARDED_BY(mutex);
-    };
-
-    /** Detach shared or non-tail storage before mutation. */
-    void ensureOwned(size_t extra_capacity);
-
     std::string name_;
     uint64_t seed_ = 0;
-    uint64_t conditionals_ = 0;
-    std::shared_ptr<std::vector<BranchRecord>> store_;
-    size_t offset_ = 0;
-    size_t count_ = 0;
-    std::shared_ptr<SoaCache> soaCache_;
+    SoABlocks soa_;
 };
 
 } // namespace copra::trace

@@ -7,16 +7,18 @@
  * version); the key is encoded in the file name, so bumping
  * kTraceFormatVersion invalidates every existing entry without any
  * bookkeeping (old files are simply never looked up). Hits are served
- * by memory-mapping the column-major v2 format (loadBinaryMapped): a
- * header check plus bulk column adoption, no per-record decode. A
- * stale or renamed file the mapped loader rejects falls back to the
- * stream decoder (which still reads v1); corrupt or unreadable
+ * by memory-mapping the column-major v2 format (loadBinaryMapped): the
+ * returned trace borrows its columns from the mapping for as long as
+ * it, or any copy of it, lives. Corrupt, unreadable or wrong-version
  * entries are treated as misses and removed.
  *
  * The cache directory defaults to ".copra-cache/" and is overridable
  * with the COPRA_CACHE_DIR environment variable. Stores are atomic
  * (temp file + rename), so concurrent writers of the same key — e.g.
- * parallel bench tasks — can never expose a half-written trace.
+ * parallel bench tasks — can never expose a half-written trace, and an
+ * entry is only ever replaced by rename: a trace still borrowing the
+ * old file keeps its inode, whereas truncating a mapped file in place
+ * would fault its readers.
  *
  * Concurrency contract (DESIGN.md §10): a TraceCache is immutable
  * after construction (dir_ is set once), so any number of pool workers

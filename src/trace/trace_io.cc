@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
@@ -18,10 +20,15 @@
 
 namespace copra::trace {
 
+// The v2 payload is little-endian and the loaders adopt its columns in
+// place, with no per-record decode.
+static_assert(std::endian::native == std::endian::little,
+              "copra trace: the loaders borrow the little-endian v2 "
+              "columns in place; big-endian hosts are not supported");
+
 namespace {
 
 constexpr char kMagic[8] = {'C', 'O', 'P', 'R', 'A', 'T', 'R', 'C'};
-constexpr uint32_t kVersionV1 = 1;
 constexpr uint32_t kVersion = kTraceFormatVersion;
 
 void
@@ -87,16 +94,20 @@ paddedNameLen(size_t name_len)
 /** v2 header: everything before the name bytes (incl. checksum). */
 constexpr size_t kV2HeaderBytes = 8 + 4 + 4 + 8 + 8 + 8 + 8;
 
+/** v2 payload bytes per record: pc, target, kind, taken. */
+constexpr uint64_t kV2RecordBytes = 8 + 8 + 1 + 1;
+
+constexpr uint64_t kFnvBasis = 1469598103934665603ull;
+
 /**
- * FNV-1a folded over 8-byte LE words (byte-wise tail). The column
- * layout has no per-record structure to validate — a flipped pc byte
- * decodes silently — so v2 carries an explicit payload checksum;
- * corruption detection, not adversarial tamper-proofing.
+ * FNV-1a folded over 8-byte LE words (byte-wise tail), continuing from
+ * @p h. The column layout has no per-record structure to validate — a
+ * flipped pc byte decodes silently — so v2 carries an explicit payload
+ * checksum; corruption detection, not adversarial tamper-proofing.
  */
 uint64_t
-checksumPayload(const unsigned char *p, size_t n)
+checksumPayload(const unsigned char *p, size_t n, uint64_t h = kFnvBasis)
 {
-    uint64_t h = 1469598103934665603ull;
     size_t words = n / 8;
     for (size_t i = 0; i < words; ++i) {
         h ^= loadLe64(p + i * 8);
@@ -109,129 +120,69 @@ checksumPayload(const unsigned char *p, size_t n)
     return h;
 }
 
-size_t
-v2PayloadBytes(uint64_t count)
+/** The v2 header fields after magic and version. */
+struct V2Header
 {
-    return static_cast<size_t>(count) * (8 + 8 + 1 + 1);
-}
+    uint32_t nameLen = 0;
+    uint64_t seed = 0;
+    uint64_t count = 0;
+    uint64_t conditionals = 0;
+    uint64_t checksum = 0;
+};
 
-/**
- * Decode the v2 column payload (laid out pc, target, kind, taken) into
- * a SoABlocks. @p payload must hold v2PayloadBytes(count) bytes.
- */
-SoABlocks
-decodeColumns(const unsigned char *payload, uint64_t count,
-              uint64_t claimed_conditionals)
+void
+checkNameLen(uint32_t name_len)
 {
-    size_t n = static_cast<size_t>(count);
-    std::vector<uint64_t> pc(n);
-    std::vector<uint64_t> target(n);
-    std::vector<uint8_t> kind(n);
-    std::vector<uint8_t> taken(n);
-    const unsigned char *p = payload;
-    for (size_t i = 0; i < n; ++i, p += 8)
-        pc[i] = loadLe64(p);
-    for (size_t i = 0; i < n; ++i, p += 8)
-        target[i] = loadLe64(p);
-    for (size_t i = 0; i < n; ++i)
-        kind[i] = p[i];
-    p += n;
-    for (size_t i = 0; i < n; ++i)
-        taken[i] = p[i] ? 1 : 0;
-    for (size_t i = 0; i < n; ++i)
-        if (kind[i] > static_cast<uint8_t>(BranchKind::Return))
-            throw std::runtime_error("copra trace: invalid branch kind");
-    SoABlocks blocks(std::move(pc), std::move(target), std::move(kind),
-                     std::move(taken));
-    if (blocks.conditionalCount() != claimed_conditionals)
-        throw std::runtime_error(
-            "copra trace: conditional count mismatch (header says " +
-            std::to_string(claimed_conditionals) + ", columns hold " +
-            std::to_string(blocks.conditionalCount()) + ")");
-    return blocks;
-}
-
-Trace
-readBinaryV1(std::istream &is)
-{
-    uint64_t seed = getU64(is);
-    uint32_t name_len = getU32(is);
     // A malformed header must not drive allocations: cap the name at a
     // size no legitimate writer produces before trusting the field.
     if (name_len > (1u << 16))
         throw std::runtime_error("copra trace: implausible name length " +
                                  std::to_string(name_len));
-    std::string name(name_len, '\0');
-    is.read(name.data(), name_len);
-    if (!is)
-        throw std::runtime_error("copra trace: truncated name");
-    uint64_t count = getU64(is);
-
-    Trace trace(name, seed);
-    // An inflated count is detected by the truncated-record throw below;
-    // only pre-reserve what the field claims up to a sane bound so a
-    // corrupt header cannot force a huge up-front allocation.
-    trace.reserve(static_cast<size_t>(std::min<uint64_t>(count, 1u << 20)));
-    for (uint64_t i = 0; i < count; ++i) {
-        BranchRecord rec;
-        rec.pc = getU64(is);
-        rec.target = getU64(is);
-        char tail[2];
-        is.read(tail, 2);
-        if (!is)
-            throw std::runtime_error("copra trace: truncated record");
-        auto kind = static_cast<uint8_t>(tail[0]);
-        if (kind > static_cast<uint8_t>(BranchKind::Return))
-            throw std::runtime_error("copra trace: invalid branch kind");
-        rec.kind = static_cast<BranchKind>(kind);
-        rec.taken = tail[1] != 0;
-        trace.append(rec);
-    }
-    return trace;
 }
 
-Trace
-readBinaryV2(std::istream &is)
+/**
+ * Require the header's record count to fill @p payload_bytes exactly.
+ * The count is bounded before it is multiplied, so a crafted count
+ * cannot wrap the product into a small, matching size.
+ */
+void
+checkPayloadSize(uint64_t count, uint64_t payload_bytes)
 {
-    uint32_t name_len = getU32(is);
-    if (name_len > (1u << 16))
-        throw std::runtime_error("copra trace: implausible name length " +
-                                 std::to_string(name_len));
-    uint64_t seed = getU64(is);
-    uint64_t count = getU64(is);
-    uint64_t conditionals = getU64(is);
-    uint64_t checksum = getU64(is);
+    if (count > payload_bytes / kV2RecordBytes ||
+        count * kV2RecordBytes != payload_bytes)
+        throw std::runtime_error(
+            "copra trace: size mismatch (payload is " +
+            std::to_string(payload_bytes) + " bytes, header claims " +
+            std::to_string(count) + " records)");
+}
 
-    size_t padded = paddedNameLen(name_len);
-    std::string name_buf(padded, '\0');
-    is.read(name_buf.data(), static_cast<std::streamsize>(padded));
-    if (!is)
-        throw std::runtime_error("copra trace: truncated name");
-    std::string name = name_buf.substr(0, name_len);
-
-    // Validate the claimed record count against the actual stream size
-    // before allocating column storage for it.
-    std::istream::pos_type here = is.tellg();
-    is.seekg(0, std::ios::end);
-    std::istream::pos_type end = is.tellg();
-    is.seekg(here);
-    if (here == std::istream::pos_type(-1) ||
-        end == std::istream::pos_type(-1) ||
-        static_cast<uint64_t>(end - here) != v2PayloadBytes(count))
-        throw std::runtime_error("copra trace: truncated columns");
-
-    std::vector<unsigned char> payload(v2PayloadBytes(count));
-    if (!payload.empty()) {
-        is.read(reinterpret_cast<char *>(payload.data()),
-                static_cast<std::streamsize>(payload.size()));
-        if (!is)
-            throw std::runtime_error("copra trace: truncated columns");
-    }
-    if (checksumPayload(payload.data(), payload.size()) != checksum)
+/**
+ * The one validate-and-adopt step of both loaders: check the payload
+ * checksum, adopt the columns in place (SoABlocks::borrow validates
+ * every kind and taken byte and builds the indexes), and check the
+ * header's conditional count. @p payload must be 8-byte aligned, hold
+ * checkPayloadSize-validated bytes, and stay alive while @p keeper
+ * does.
+ */
+Trace
+adoptPayload(std::string name, const V2Header &hdr,
+             const unsigned char *payload,
+             std::shared_ptr<const void> keeper)
+{
+    auto n = static_cast<size_t>(hdr.count);
+    if (checksumPayload(payload, n * kV2RecordBytes) != hdr.checksum)
         throw std::runtime_error("copra trace: payload checksum mismatch");
-    return Trace::fromSoa(std::move(name), seed,
-                          decodeColumns(payload.data(), count,
-                                        conditionals));
+    const unsigned char *kind = payload + 16 * n;
+    SoABlocks soa = SoABlocks::borrow(
+        reinterpret_cast<const uint64_t *>(payload),
+        reinterpret_cast<const uint64_t *>(payload + 8 * n), kind,
+        kind + n, n, std::move(keeper));
+    if (soa.conditionalCount() != hdr.conditionals)
+        throw std::runtime_error(
+            "copra trace: conditional count mismatch (header says " +
+            std::to_string(hdr.conditionals) + ", columns hold " +
+            std::to_string(soa.conditionalCount()) + ")");
+    return {std::move(name), hdr.seed, std::move(soa)};
 }
 
 } // namespace
@@ -239,26 +190,18 @@ readBinaryV2(std::istream &is)
 void
 writeBinary(const Trace &trace, std::ostream &os)
 {
-    // Stage the whole column payload first: the header carries its
-    // checksum, so the bytes must exist before the header is written.
-    std::span<const BranchRecord> records = trace.records();
-    size_t n = records.size();
-    std::vector<unsigned char> payload(v2PayloadBytes(n));
-    unsigned char *p = payload.data();
-    auto putColumn = [&](auto field) {
-        for (size_t i = 0; i < n; ++i, p += 8) {
-            uint64_t v = field(records[i]);
-            for (int b = 0; b < 8; ++b)
-                p[static_cast<size_t>(b)] =
-                    static_cast<unsigned char>((v >> (8 * b)) & 0xff);
-        }
-    };
-    putColumn([](const BranchRecord &r) { return r.pc; });
-    putColumn([](const BranchRecord &r) { return r.target; });
-    for (size_t i = 0; i < n; ++i)
-        *p++ = static_cast<unsigned char>(records[i].kind);
-    for (size_t i = 0; i < n; ++i)
-        *p++ = records[i].taken ? 1 : 0;
+    // The header carries the payload checksum, so it is computed first,
+    // straight over the columns; only the two byte columns are staged
+    // (the checksum's 8-byte words run across their boundary).
+    const SoABlocks &soa = trace.soa();
+    size_t n = soa.size();
+    std::vector<unsigned char> bytes(soa.kind(), soa.kind() + n);
+    bytes.insert(bytes.end(), soa.taken(), soa.taken() + n);
+    auto pc = reinterpret_cast<const unsigned char *>(soa.pc());
+    auto target = reinterpret_cast<const unsigned char *>(soa.target());
+    uint64_t checksum = checksumPayload(
+        bytes.data(), bytes.size(),
+        checksumPayload(target, 8 * n, checksumPayload(pc, 8 * n)));
 
     os.write(kMagic, sizeof(kMagic));
     putU32(os, kVersion);
@@ -266,14 +209,19 @@ writeBinary(const Trace &trace, std::ostream &os)
     putU64(os, trace.seed());
     putU64(os, trace.size());
     putU64(os, trace.conditionalCount());
-    putU64(os, checksumPayload(payload.data(), payload.size()));
+    putU64(os, checksum);
     size_t padded = paddedNameLen(trace.name().size());
     std::string name_buf(padded, '\0');
     std::copy(trace.name().begin(), trace.name().end(), name_buf.begin());
     os.write(name_buf.data(), static_cast<std::streamsize>(padded));
-    if (!payload.empty())
-        os.write(reinterpret_cast<const char *>(payload.data()),
-                 static_cast<std::streamsize>(payload.size()));
+    if (n != 0) {
+        os.write(reinterpret_cast<const char *>(pc),
+                 static_cast<std::streamsize>(8 * n));
+        os.write(reinterpret_cast<const char *>(target),
+                 static_cast<std::streamsize>(8 * n));
+        os.write(reinterpret_cast<const char *>(bytes.data()),
+                 static_cast<std::streamsize>(bytes.size()));
+    }
 }
 
 Trace
@@ -284,12 +232,48 @@ readBinary(std::istream &is)
     if (!is || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
         throw std::runtime_error("copra trace: bad magic");
     uint32_t version = getU32(is);
-    if (version == kVersionV1)
-        return readBinaryV1(is);
-    if (version == kVersion)
-        return readBinaryV2(is);
-    throw std::runtime_error("copra trace: unsupported version " +
-                             std::to_string(version));
+    if (version != kVersion)
+        throw std::runtime_error("copra trace: unsupported version " +
+                                 std::to_string(version));
+    V2Header hdr;
+    hdr.nameLen = getU32(is);
+    checkNameLen(hdr.nameLen);
+    hdr.seed = getU64(is);
+    hdr.count = getU64(is);
+    hdr.conditionals = getU64(is);
+    hdr.checksum = getU64(is);
+
+    size_t padded = paddedNameLen(hdr.nameLen);
+    std::string name(padded, '\0');
+    is.read(name.data(), static_cast<std::streamsize>(padded));
+    if (!is)
+        throw std::runtime_error("copra trace: truncated name");
+    name.resize(hdr.nameLen);
+
+    // Validate the claimed record count against the actual stream size
+    // before allocating column storage for it.
+    std::istream::pos_type here = is.tellg();
+    is.seekg(0, std::ios::end);
+    std::istream::pos_type end = is.tellg();
+    is.seekg(here);
+    if (here == std::istream::pos_type(-1) ||
+        end == std::istream::pos_type(-1))
+        throw std::runtime_error("copra trace: unseekable input");
+    auto payload_bytes = static_cast<uint64_t>(end - here);
+    checkPayloadSize(hdr.count, payload_bytes);
+
+    // One owned buffer of whole words, so the u64 columns are aligned
+    // exactly as in a mapped file.
+    auto buffer = std::make_shared_for_overwrite<uint64_t[]>(
+        static_cast<size_t>((payload_bytes + 7) / 8));
+    auto payload = reinterpret_cast<unsigned char *>(buffer.get());
+    if (payload_bytes != 0) {
+        is.read(reinterpret_cast<char *>(payload),
+                static_cast<std::streamsize>(payload_bytes));
+        if (!is)
+            throw std::runtime_error("copra trace: truncated columns");
+    }
+    return adoptPayload(std::move(name), hdr, payload, std::move(buffer));
 }
 
 void
@@ -338,45 +322,37 @@ loadBinaryMapped(const std::string &path)
     if (map == MAP_FAILED)
         throw std::runtime_error("copra trace: mmap failed: " + path);
 
-    // Unmap on every exit path; the decoded columns own their memory.
-    struct Unmapper
-    {
-        void *addr;
-        size_t len;
-        ~Unmapper() { ::munmap(addr, len); }
-    } unmapper{map, file_size};
+    // The mapping is the columns' keeper: it is unmapped when the last
+    // trace, copy or view borrowing it goes away, or right here when
+    // validation throws.
+    std::shared_ptr<const void> keeper(
+        map, [file_size](const void *addr) {
+            ::munmap(const_cast<void *>(addr), file_size);
+        });
 
     const unsigned char *base = static_cast<const unsigned char *>(map);
     if (std::memcmp(base, kMagic, sizeof(kMagic)) != 0)
         throw std::runtime_error("copra trace: bad magic");
     uint32_t version = static_cast<uint32_t>(loadLe64(base + 8) & 0xffffffff);
-    uint32_t name_len =
-        static_cast<uint32_t>(loadLe64(base + 8) >> 32);
     if (version != kVersion)
         throw std::runtime_error("copra trace: unsupported version " +
                                  std::to_string(version));
-    if (name_len > (1u << 16))
-        throw std::runtime_error("copra trace: implausible name length " +
-                                 std::to_string(name_len));
-    uint64_t seed = loadLe64(base + 16);
-    uint64_t count = loadLe64(base + 24);
-    uint64_t conditionals = loadLe64(base + 32);
-    uint64_t checksum = loadLe64(base + 40);
+    V2Header hdr;
+    hdr.nameLen = static_cast<uint32_t>(loadLe64(base + 8) >> 32);
+    checkNameLen(hdr.nameLen);
+    hdr.seed = loadLe64(base + 16);
+    hdr.count = loadLe64(base + 24);
+    hdr.conditionals = loadLe64(base + 32);
+    hdr.checksum = loadLe64(base + 40);
 
-    size_t padded = paddedNameLen(name_len);
-    uint64_t expected = kV2HeaderBytes + padded + v2PayloadBytes(count);
-    if (file_size != expected)
-        throw std::runtime_error(
-            "copra trace: size mismatch (file is " +
-            std::to_string(file_size) + " bytes, header implies " +
-            std::to_string(expected) + ")");
-    const unsigned char *payload = base + kV2HeaderBytes + padded;
-    if (checksumPayload(payload, v2PayloadBytes(count)) != checksum)
-        throw std::runtime_error("copra trace: payload checksum mismatch");
+    size_t header = kV2HeaderBytes + paddedNameLen(hdr.nameLen);
+    if (file_size < header)
+        throw std::runtime_error("copra trace: truncated name");
+    checkPayloadSize(hdr.count, file_size - header);
     std::string name(reinterpret_cast<const char *>(base) + kV2HeaderBytes,
-                     name_len);
-    return Trace::fromSoa(std::move(name), seed,
-                          decodeColumns(payload, count, conditionals));
+                     hdr.nameLen);
+    return adoptPayload(std::move(name), hdr, base + header,
+                        std::move(keeper));
 }
 
 #else // _WIN32
@@ -384,9 +360,8 @@ loadBinaryMapped(const std::string &path)
 Trace
 loadBinaryMapped(const std::string &path)
 {
-    // No mmap on this platform; callers fall back to loadBinary.
-    throw std::runtime_error("copra trace: mapped load unsupported: " +
-                             path);
+    // No mmap on this platform: same validation, owned buffer.
+    return loadBinary(path);
 }
 
 #endif

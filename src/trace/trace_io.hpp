@@ -17,9 +17,9 @@ namespace copra::trace {
 /**
  * Version of the binary trace format written by writeBinary. Bump on any
  * layout change; the on-disk trace cache keys its entries on this value,
- * so stale cache files are never misread. readBinary still decodes the
- * previous (v1) record-interleaved layout, so a v1 file that shows up
- * under a v2 name falls back to a full re-decode instead of failing.
+ * so stale cache files are never misread. Only this version is read: a
+ * file of any other version is rejected (the cache drops and
+ * regenerates it).
  */
 inline constexpr uint32_t kTraceFormatVersion = 2;
 
@@ -33,19 +33,19 @@ inline constexpr uint32_t kTraceFormatVersion = 2;
  * structure to validate, so integrity is explicit), name bytes
  * zero-padded to an 8-byte boundary, then four contiguous columns —
  * pc (count × u64), target (count × u64), kind (count × u8), taken
- * (count × u8). All integers are little-endian.
- *
- * v1 (read-only support) stored one 18-byte packed record per dynamic
- * branch (u64 pc, u64 target, u8 kind, u8 taken) after a
- * version/seed/name/count header.
+ * (count × u8). All integers are little-endian. The header and the
+ * padded name are whole 8-byte words, so the u64 columns of a file
+ * mapped at a page boundary are 8-byte aligned and are adopted in place.
  */
 void writeBinary(const Trace &trace, std::ostream &os);
 
 /**
- * Read a trace in the copra binary format (v1 or v2).
+ * Read a v2 trace into one owned, 8-byte-aligned buffer and adopt its
+ * columns through the same validation as loadBinaryMapped: exact
+ * payload size, checksum, kind and taken bytes, conditional count.
  *
- * @throws std::runtime_error on bad magic, unsupported version, or
- * truncated input.
+ * @throws std::runtime_error on bad magic, unsupported version,
+ * truncated or inconsistent input.
  */
 Trace readBinary(std::istream &is);
 
@@ -57,14 +57,15 @@ Trace loadBinary(const std::string &path);
 
 /**
  * Load a v2 binary trace by memory-mapping @p path: the header is
- * validated against the exact file size, the columns are adopted
- * directly into the trace's structure-of-arrays image, and no
- * per-record decode loop runs. The mapping is transient (the file may
- * be deleted afterwards).
+ * validated against the exact file size and the payload checksum, and
+ * the trace borrows its columns from the mapping — no column is copied
+ * and no per-record decode runs. The mapping lives as long as the
+ * trace or any copy or prefix view of it. Unlinking the file, or
+ * renaming another over it, is safe meanwhile; truncating it in place
+ * is not (reads past the new end fault).
  *
  * @throws std::runtime_error when the file cannot be mapped, is not a
- * v2 trace (including well-formed v1 files — callers fall back to
- * loadBinary's re-decode), or is truncated / inconsistent.
+ * v2 trace, or is truncated / inconsistent.
  */
 Trace loadBinaryMapped(const std::string &path);
 

@@ -3,7 +3,7 @@
  * The differential-verification acceptance gate.
  *
  * 1. Zero mismatches between every optimized predictor path (scalar,
- *    batched, sim::run, runAllParallel) and the clarity-first reference
+ *    soa, sim::run, runAllParallel) and the clarity-first reference
  *    models over 100 fuzzed traces at a fixed seed range.
  * 2. Self-test: each deliberately-injected predictor bug is caught by
  *    the same harness and shrunk to a reproducer of at most 1000
@@ -97,11 +97,11 @@ TEST(Differential, EveryInjectedBugIsCaughtAndShrunk)
     }
 }
 
-TEST(Differential, BatchOnlyBugEscapesScalarPathButNotBatched)
+TEST(Differential, BatchOnlyBugEscapesScalarPathButNotSoaPath)
 {
     // GshareBatchStaleHistory is constructed so the scalar path is
     // faithful and only the batch entry point diverges; catching it
-    // proves the harness exercises predictUpdateBatch specifically.
+    // proves the harness exercises predictUpdateSoa specifically.
     CheckPair pair = injectedBugPair(InjectedBug::GshareBatchStaleHistory);
     bool scalar_diverged = false;
     bool batch_caught = false;
@@ -118,10 +118,10 @@ TEST(Differential, BatchOnlyBugEscapesScalarPathButNotBatched)
     EXPECT_FALSE(scalar_diverged)
         << "planted bug must be invisible to the scalar path";
     EXPECT_TRUE(batch_caught)
-        << "batched/run paths must expose the stale-history bug";
+        << "soa/run paths must expose the stale-history bug";
 }
 
-TEST(Differential, ScalarAndBatchedStreamsAgreeForCleanPredictor)
+TEST(Differential, ScalarAndSoaStreamsAgreeForCleanPredictor)
 {
     // Direct stream-level check, independent of diffPair's plumbing.
     for (uint64_t seed : {1ull, 9ull, 23ull}) {
@@ -129,10 +129,10 @@ TEST(Differential, ScalarAndBatchedStreamsAgreeForCleanPredictor)
         predictor::TwoLevel a(TwoLevelConfig::pas(7, 5, 3));
         predictor::TwoLevel b(TwoLevelConfig::pas(7, 5, 3));
         std::vector<uint8_t> scalar = scalarPredictions(t, a);
-        std::vector<uint8_t> batched = batchedPredictions(t, b);
-        ASSERT_EQ(scalar.size(), batched.size()) << "seed " << seed;
+        std::vector<uint8_t> soa = soaPredictions(t, b);
+        ASSERT_EQ(scalar.size(), soa.size()) << "seed " << seed;
         for (size_t i = 0; i < scalar.size(); ++i)
-            ASSERT_EQ(scalar[i], batched[i])
+            ASSERT_EQ(scalar[i], soa[i])
                 << "seed " << seed << " conditional " << i;
     }
 }

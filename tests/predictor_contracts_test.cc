@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -45,16 +44,24 @@ TEST(PredictorContracts, BatchEntryPointMatchesScalarLoop)
 {
     copra::trace::Trace trace = copra::check::fuzzTrace(7, 4000);
     std::vector<copra::trace::BranchRecord> conds;
-    for (const auto &rec : trace.records())
-        if (rec.isConditional())
-            conds.push_back(rec);
+    std::vector<uint64_t> pc, target;
+    std::vector<uint8_t> taken;
+    for (const auto &rec : trace.records()) {
+        if (!rec.isConditional())
+            continue;
+        conds.push_back(rec);
+        pc.push_back(rec.pc);
+        target.push_back(rec.target);
+        taken.push_back(rec.taken ? 1 : 0);
+    }
     ASSERT_FALSE(conds.empty());
+    copra::predictor::SoaBatch batch{pc.data(), target.data(),
+                                     taken.data(), conds.size()};
 
     for (const std::string &spec : knownPredictors()) {
         auto batched = makePredictor(spec);
         auto scalar = makePredictor(spec);
-        uint64_t batch_correct = batched->predictUpdateBatch(
-            std::span<const copra::trace::BranchRecord>(conds), nullptr);
+        uint64_t batch_correct = batched->predictUpdateSoa(batch, nullptr);
         uint64_t scalar_correct = 0;
         for (const auto &rec : conds) {
             scalar_correct +=

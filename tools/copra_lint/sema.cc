@@ -18,7 +18,7 @@
  *    one of the three lists — an unlisted field is exactly the hidden
  *    state the snapshot gates exist to catch.
  *  - state-mutation: prediction-path bodies (predict, update, observe,
- *    predictUpdateBatch, predictUpdateSoa) may not mutate config-listed
+ *    predictUpdateSoa) may not mutate config-listed
  *    members; classes without the contract may not mutate any member
  *    there at all.
  *
@@ -391,7 +391,7 @@ bool
 isPredictPathMethod(const std::string &m)
 {
     return m == "predict" || m == "update" || m == "observe" ||
-        m == "predictUpdateBatch" || m == "predictUpdateSoa";
+        m == "predictUpdateSoa";
 }
 
 } // namespace
