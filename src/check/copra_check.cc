@@ -238,7 +238,7 @@ main(int argc, char **argv)
     parser.addFlag("no-minimize", &no_minimize,
                    "report raw failing traces without shrinking");
     parser.addFlag("no-parallel", &no_parallel,
-                   "skip the sim::runAllParallel comparison path");
+                   "skip the sharded sim::runAll comparison path");
     bool state_gates = false;
     parser.addFlag("state-gates", &state_gates,
                    "run the snapshot/restore state gates over the whole "

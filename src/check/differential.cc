@@ -51,8 +51,8 @@ std::vector<uint8_t>
 soaPredictions(const Trace &trace, predictor::Predictor &pred)
 {
     // Mirror sim::run exactly: conditional segments of the cached SoA
-    // image go through predictUpdateSoa (the specialized column
-    // kernels), non-conditionals through observe() in trace order.
+    // image go through predictUpdateSoa (the fused batch loops),
+    // non-conditionals through observe() in trace order.
     const trace::SoABlocks &soa = trace.soa();
     std::vector<uint8_t> out;
     out.reserve(trace.conditionalCount());
@@ -199,7 +199,7 @@ diffPair(const Trace &trace, const CheckPair &pair, bool check_parallel)
         std::vector<predictor::Predictor *> preds{p1.get(), p2.get(),
                                                   pr.get()};
         std::vector<sim::RunResult> results =
-            sim::runAllParallel(trace, preds);
+            sim::runAll(trace, preds);
         for (const sim::RunResult &r : results) {
             aggregateMismatch(pair.name, "parallel", want_correct,
                               r.correct, result.mismatches);
@@ -615,11 +615,11 @@ class BatchStaleGshare : public predictor::TwoLevel
 };
 
 /**
- * gshare whose SoA kernel path trains the counter and history *before*
+ * gshare whose SoA batch path trains the counter and history *before*
  * predicting each branch. The scalar path inherits correct TwoLevel
  * behaviour, so only the "soa" stream (and the sim::run aggregates
  * built on it) can catch this — the self-test that proves the harness
- * actually exercises the column-kernel path.
+ * actually exercises the batch path.
  */
 class SoaPrematureTrainGshare : public predictor::TwoLevel
 {

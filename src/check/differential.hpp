@@ -4,8 +4,9 @@
  * predictor along every execution path the simulator offers — the
  * classic scalar predict()/update() sequence, the SoA batch path
  * (predictUpdateSoa, what sim::run actually feeds), sim::run(), and
- * sim::runAllParallel() — and diffs each against a clarity-first
- * reference model (check/ref_models.hpp) on a per-branch basis.
+ * sim::runAll() on a thread pool — and diffs each against a
+ * clarity-first reference model (check/ref_models.hpp) on a per-branch
+ * basis.
  *
  * A mismatch is localized to the first diverging conditional branch,
  * and the offending trace is shrunk by a delta-debugging minimizer to a
@@ -82,16 +83,17 @@ std::vector<uint8_t> scalarPredictions(const trace::Trace &trace,
 
 /**
  * Per-conditional prediction stream using predictUpdateSoa() over the
- * trace's cached SoA segments — the column-kernel path sim::run()
- * drives. Covers the specialized SIMD/scalar index kernels.
+ * trace's cached SoA segments — the batch path sim::run() drives.
+ * Covers the fused predictUpdateSoa specializations.
  */
 std::vector<uint8_t> soaPredictions(const trace::Trace &trace,
                                     predictor::Predictor &pred);
 
 /**
  * Replay @p trace through every path of @p pair and diff against the
- * reference. @p check_parallel additionally runs sim::runAllParallel
- * over several fresh instances (slower; the suite enables it).
+ * reference. @p check_parallel additionally runs sim::runAll over
+ * several fresh instances on the global pool (slower; the suite
+ * enables it).
  */
 DiffResult diffPair(const trace::Trace &trace, const CheckPair &pair,
                     bool check_parallel = true);
@@ -114,7 +116,7 @@ struct SuiteOptions
     uint64_t traces = 100;       //!< fuzzed traces to replay
     uint64_t conditionals = 2000; //!< conditional branches per trace
     bool minimize = true;        //!< shrink mismatching traces
-    bool checkParallel = true;   //!< include the runAllParallel path
+    bool checkParallel = true;   //!< include the sharded runAll path
 };
 
 /** One failing (pair, trace) combination, with its shrunk reproducer. */
@@ -154,7 +156,7 @@ enum class InjectedBug : uint8_t
     GshareBatchStaleHistory, //!< SoA batch path predicts before applying
                              //!< the previous branch's update
     LoopTripOffByOne,        //!< learned trip count is run + 1
-    GshareSoaPrematureTrain, //!< SoA kernel path trains the counter and
+    GshareSoaPrematureTrain, //!< SoA batch path trains the counter and
                              //!< history before predicting; every other
                              //!< path is untouched
     TageAllocWrongDirection, //!< freshly allocated TAGE entries start

@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "check/fuzz.hpp"
+#include "sim/driver.hpp"
 #include "trace/trace.hpp"
 #include "util/sync.hpp"
 
@@ -24,43 +25,6 @@ namespace {
 std::atomic<uint64_t> g_hotAllocs{0};
 // copra-lint: sanctioned-global(records whether the operator-new hook TU is linked into this binary)
 std::atomic<bool> g_allocProbeLinked{false};
-
-/**
- * One full replay along the path sim::run drives: conditional SoA
- * segments through predictUpdateSoa, everything else through
- * observe(). @p correct is caller-owned scratch, pre-sized to the
- * largest segment, so the measured region itself allocates nothing.
- */
-void
-soaReplay(const trace::SoABlocks &soa, predictor::Predictor &pred,
-          std::vector<uint8_t> &correct)
-{
-    size_t pos = 0;
-    for (const trace::SoABlocks::Segment &seg :
-         soa.conditionalSegments()) {
-        for (; pos < seg.begin; ++pos)
-            pred.observe(soa.recordAt(pos));
-        predictor::SoaBatch batch{soa.pc() + seg.begin,
-                                  soa.target() + seg.begin,
-                                  soa.taken() + seg.begin, seg.count};
-        pred.predictUpdateSoa(batch, correct.data());
-        pos = seg.begin + seg.count;
-    }
-    for (; pos < soa.size(); ++pos)
-        pred.observe(soa.recordAt(pos));
-}
-
-/** Largest conditional segment of @p soa (scratch sizing). */
-size_t
-maxSegment(const trace::SoABlocks &soa)
-{
-    size_t n = 1;
-    for (const trace::SoABlocks::Segment &seg :
-         soa.conditionalSegments())
-        if (seg.count > n)
-            n = seg.count;
-    return n;
-}
 
 /**
  * A terminate handler that names the contract being enforced: the lint
@@ -129,8 +93,12 @@ runHotGates(const HotGateOptions &options,
         for (uint64_t seed = options.seedBase;
              seed < options.seedBase + options.traces; ++seed) {
             trace::Trace trace = fuzzTrace(seed, options.conditionals);
+            // The replays are sim::runLoop itself, with the ledger
+            // buffers sim::run would hand it, so ledger accumulation
+            // is inside the measured region too.
             const trace::SoABlocks &soa = trace.soa();
-            std::vector<uint8_t> correct(maxSegment(soa));
+            std::vector<uint8_t> correct(sim::maxSegment(soa));
+            std::vector<sim::BranchTally> tallies(soa.staticCount());
 
             // Warm-up: first-touch table fills, then history-keyed
             // instrument pinning — including per-address history
@@ -140,13 +108,15 @@ runHotGates(const HotGateOptions &options,
             predictor::PredictorPtr pred = entry.make();
             for (uint64_t pass = 0; pass < options.warmupPasses;
                  ++pass)
-                soaReplay(soa, *pred, correct);
+                sim::runLoop(soa, *pred, correct.data(),
+                             tallies.data());
 
             for (uint64_t pass = 0; pass < options.steadyPasses;
                  ++pass) {
                 uint64_t allocs_before = hotAllocCount();
                 uint64_t locks_before = util::lockAcquisitionCount();
-                soaReplay(soa, *pred, correct);
+                sim::runLoop(soa, *pred, correct.data(),
+                             tallies.data());
                 uint64_t alloc_delta =
                     hotAllocCount() - allocs_before;
                 uint64_t lock_delta =

@@ -7,10 +7,10 @@
  * behave — no visible allocation, locking, throwing, or I/O in any
  * function reachable from a COPRA_HOT root. These gates prove the
  * *process* behaves: they replay fuzzed traces through every
- * factory-roster predictor along the SoA column-kernel path (the exact
- * path sim::run drives), and after a warm-up pass assert that a
- * steady-state replay moves neither the global allocation counter nor
- * the global lock counter. That catches what no token-level analysis
+ * factory-roster predictor with sim::runLoop itself (the loop sim::run
+ * drives, ledger buffers included), and after a warm-up pass assert
+ * that a steady-state replay moves neither the global allocation
+ * counter nor the global lock counter. That catches what no token-level analysis
  * can see — allocations behind project-defined method names, container
  * growth hidden in a branch the lint over-approximation excused, or a
  * dependency locking internally.

@@ -148,7 +148,7 @@ BenchmarkExperiment::precomputeLedgers()
 
     obs::PhaseTimer guard = predictorGuard(times_);
     std::vector<sim::Ledger> ledgers;
-    sim::runAllParallel(trace_, preds, &ledgers);
+    sim::runAll(trace_, preds, &ledgers);
     for (size_t i = 0; i < sinks.size(); ++i)
         sinks[i]->emplace(std::move(ledgers[i]));
 }

@@ -145,7 +145,7 @@ class BenchmarkExperiment
     /**
      * Compute the gshare, PAs and IF-gshare ledgers that are not yet
      * cached, sharding the simulation passes across the global thread
-     * pool (sim::runAllParallel). Purely an optimization: the lazy
+     * pool (sim::runAll). Purely an optimization: the lazy
      * getters return identical ledgers whether or not this ran first.
      */
     void precomputeLedgers();

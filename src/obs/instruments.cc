@@ -45,21 +45,6 @@ buildCatalog()
     add(c, i.simRunMispredicts, "sim.run.mispredicts", Kind::Counter,
         "branches", "mispredicted conditional branches across all "
         "sim::run passes", "sim");
-    add(c, i.simKernelBatches, "sim.kernel.batches", Kind::Counter,
-        "batches",
-        "SoA conditional runs handed to specialized predictor batch "
-        "kernels",
-        "sim");
-    add(c, i.simKernelBranches, "sim.kernel.branches", Kind::Counter,
-        "branches",
-        "conditional branches simulated through specialized SoA batch "
-        "kernels (subset of sim.run.branches)",
-        "sim");
-    add(c, i.simKernelSimdBranches, "sim.kernel.simd_branches",
-        Kind::Counter, "branches",
-        "kernel branches whose index phase ran on the SIMD tier "
-        "(0 when dispatch selects scalar)",
-        "sim");
 
     // --- predictor: modern-roster internals -------------------------
     add(c, i.tageAllocations, "tage.alloc", Kind::Counter, "entries",

@@ -26,12 +26,6 @@ struct Ids
     InstrumentId simRunBranches = 0;
     InstrumentId simRunMispredicts = 0;
 
-    // predictor: batch kernel dispatch (src/predictor/two_level.cc,
-    // bimodal.cc via predictor/kernels.hpp).
-    InstrumentId simKernelBatches = 0;
-    InstrumentId simKernelBranches = 0;
-    InstrumentId simKernelSimdBranches = 0;
-
     // predictor: modern-roster internals (src/predictor/tage.cc,
     // perceptron.cc).
     InstrumentId tageAllocations = 0;

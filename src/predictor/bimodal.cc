@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "predictor/kernels.hpp"
 #include "util/logging.hpp"
 
 namespace copra::predictor {
@@ -13,11 +12,6 @@ Bimodal::Bimodal(unsigned table_bits)
     fatalIf(table_bits == 0 || table_bits > 30,
             "bimodal table bits must be in 1..30");
     table_.assign(size_t(1) << table_bits, Counter2{});
-    // The batch path is hot-region code (DESIGN.md §15): resolve the
-    // kernel dispatch once (activeTier's guarded init is a lock) and
-    // pre-size the tile scratch so the loop never touches the heap.
-    kernels_ = &kernels::active();
-    idxScratch_.resize(kKernelTile);
 }
 
 size_t
@@ -42,28 +36,17 @@ Bimodal::update(const trace::BranchRecord &br, bool taken) noexcept
 uint64_t
 Bimodal::predictUpdateSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept
 {
-    if (batch.count == 0)
-        return 0;
-    kernelCounts_.note(batch.count);
-
-    const kernels::Kernels &k = *kernels_;
     const uint64_t mask = (uint64_t(1) << tableBits_) - 1;
     uint64_t n_correct = 0;
-    size_t base = 0;
-    while (base < batch.count) {
-        size_t n = std::min(kKernelTile, batch.count - base);
-        k.pcIndices(batch.pc + base, n, mask, idxScratch_.data());
-        for (size_t j = 0; j < n; ++j) {
-            Counter2 &counter = table_[idxScratch_[j]];
-            bool prediction = counter.taken();
-            uint8_t t = batch.taken[base + j];
-            counter.update(t != 0);
-            bool correct = prediction == (t != 0);
-            n_correct += correct ? 1 : 0;
-            if (correct_out)
-                correct_out[base + j] = correct ? 1 : 0;
-        }
-        base += n;
+    for (size_t j = 0; j < batch.count; ++j) {
+        Counter2 &counter = table_[(batch.pc[j] >> 2) & mask];
+        bool prediction = counter.taken();
+        bool t = batch.taken[j] != 0;
+        counter.update(t);
+        bool correct = prediction == t;
+        n_correct += correct ? 1 : 0;
+        if (correct_out)
+            correct_out[j] = correct ? 1 : 0;
     }
     return n_correct;
 }

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "predictor/kernels.hpp"
 #include "predictor/predictor.hpp"
 #include "predictor/state.hpp"
 #include "util/sat_counter.hpp"
@@ -31,11 +30,7 @@ class Bimodal : public Predictor
     bool predict(const trace::BranchRecord &br) noexcept override;
     void update(const trace::BranchRecord &br, bool taken) noexcept override;
 
-    /**
-     * Column-kernel batch path: table indices come from the dispatched
-     * pcIndices kernel (predictor/kernels.hpp); the counter walk stays
-     * serial because aliasing branches must see each other's updates.
-     */
+    /** Fused batch path: one scalar loop over the pc/taken columns. */
     uint64_t predictUpdateSoa(const SoaBatch &batch,
                               uint8_t *correct_out) noexcept override;
 
@@ -66,22 +61,12 @@ class Bimodal : public Predictor
 
     COPRA_CONFIG_FIELDS(tableBits_);
     COPRA_STATE_FIELDS(table_);
-    COPRA_TRANSIENT_FIELDS(idxScratch_, kernelCounts_, kernels_);
 
   private:
-    /** Records per kernel tile (see TwoLevel::kKernelTile). */
-    static constexpr size_t kKernelTile = 2048;
-
     size_t indexOf(uint64_t pc) const noexcept;
 
     unsigned tableBits_;
     std::vector<Counter2> table_;
-    std::vector<uint32_t> idxScratch_; // kernel tile: table indices
-    kernels::BatchCounters kernelCounts_; // flushes to obs on destroy
-    /** Dispatch table resolved once at construction: the tier is fixed
-     * per process, and activeTier()'s guarded initialization is off
-     * limits inside the hot region (hot-lock). */
-    const kernels::Kernels *kernels_ = nullptr;
 };
 
 } // namespace copra::predictor

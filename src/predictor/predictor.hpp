@@ -95,8 +95,8 @@ class Predictor
      * one call, equivalent to predict(); update(rec, rec.taken) per
      * branch in order. The simulation driver hands each conditional
      * run as SoA columns so hot predictors can override this with a
-     * devirtualized loop or batch index kernels over contiguous
-     * pc/taken arrays (see predictor/kernels.hpp). The default builds
+     * devirtualized loop over the contiguous pc/taken arrays (TwoLevel
+     * and Bimodal fuse one per index flavour). The default builds
      * each record on the stack (SoaBatch::recordAt) and keeps the
      * two-virtual-calls-per-branch behaviour, so overriding is purely
      * an optimization and never changes results — the differential

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "predictor/kernels.hpp"
 #include "util/logging.hpp"
 
 namespace copra::predictor {
@@ -96,12 +95,6 @@ TwoLevel::TwoLevel(const TwoLevelConfig &config)
         ? 1 : (size_t(1) << config.bhtBits);
     histories_.assign(n_hist, 0);
     pht_.assign(size_t(1) << config.phtBits, counterInit_);
-    // The batch path is hot-region code (DESIGN.md §15): resolve the
-    // kernel dispatch once (activeTier's guarded init is a lock) and
-    // pre-size the tile scratch so the loop never touches the heap.
-    kernels_ = &kernels::active();
-    histScratch_.resize(kKernelTile);
-    idxScratch_.resize(kKernelTile);
 }
 
 uint64_t &
@@ -163,131 +156,71 @@ TwoLevel::update(const trace::BranchRecord &br, bool taken) noexcept
 uint64_t
 TwoLevel::predictUpdateSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept
 {
-    if (batch.count == 0)
-        return 0;
-    kernelCounts_.note(batch.count);
-    return config_.scope == TwoLevelConfig::Scope::Global
-        ? runGlobalSoa(batch, correct_out)
-        : runPerAddressSoa(batch, correct_out);
-}
-
-uint64_t
-TwoLevel::runGlobalSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept
-{
-    // The global history register evolves only from the outcomes, so
-    // per-branch history words — and hence every PHT index — are known
-    // before any counter is touched. historyFill leaves the words
-    // unmasked; masking distributes over the shift chain, so masking
-    // once inside the index kernels is equivalent to the per-step
-    // masking the scalar path performs.
-    const kernels::Kernels &k = *kernels_;
-    const uint64_t select_mask =
-        (uint64_t(1) << config_.pcSelectBits) - 1;
-    uint64_t w = histories_[0];
-    uint64_t n_correct = 0;
-    size_t base = 0;
-    while (base < batch.count) {
-        size_t n = std::min(kKernelTile, batch.count - base);
-        w = kernels::historyFill(batch.taken + base, n, w,
-                                 histScratch_.data());
-        switch (config_.index) {
-          case TwoLevelConfig::Index::HistoryOnly:
-            k.maskIndices(histScratch_.data(), n, historyMask_, phtMask_,
-                          idxScratch_.data());
-            break;
-          case TwoLevelConfig::Index::Concat:
-            k.concatIndices(histScratch_.data(), batch.pc + base, n,
-                            historyMask_, config_.historyBits,
-                            select_mask, phtMask_, idxScratch_.data());
-            break;
-          case TwoLevelConfig::Index::Xor:
-            k.xorIndices(histScratch_.data(), batch.pc + base, n,
-                         historyMask_, phtMask_, idxScratch_.data());
-            break;
-        }
-        // Counter training stays serial: two branches in one tile may
-        // alias the same counter, and the second prediction must see
-        // the first update.
-        for (size_t j = 0; j < n; ++j) {
-            uint8_t &counter = pht_[idxScratch_[j]];
-            bool prediction = counter > counterInit_;
-            uint8_t t = batch.taken[base + j];
-            if (t) {
-                if (counter < counterMax_)
-                    ++counter;
-            } else {
-                if (counter > 0)
-                    --counter;
-            }
-            bool correct = prediction == (t != 0);
-            n_correct += correct ? 1 : 0;
-            if (correct_out)
-                correct_out[base + j] = correct ? 1 : 0;
-        }
-        base += n;
-    }
-    histories_[0] = w & historyMask_;
-    return n_correct;
-}
-
-uint64_t
-TwoLevel::runPerAddressSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept
-{
-    // Per-address histories serialize on the BHT row, so only the row
-    // lookup vectorizes; the PHT index still needs the just-updated
-    // row history. Hoisting the index flavour out of the loop is the
-    // remaining win over the scalar predict/update path.
-    const kernels::Kernels &k = *kernels_;
     const uint64_t select_mask =
         (uint64_t(1) << config_.pcSelectBits) - 1;
     const uint64_t bht_mask = (uint64_t(1) << config_.bhtBits) - 1;
     uint64_t n_correct = 0;
-    size_t base = 0;
-    while (base < batch.count) {
-        size_t n = std::min(kKernelTile, batch.count - base);
-        k.pcIndices(batch.pc + base, n, bht_mask, idxScratch_.data());
-        auto train = [&](auto pht_index_of) {
-            for (size_t j = 0; j < n; ++j) {
-                uint64_t &hist_reg = histories_[idxScratch_[j]];
-                uint64_t pc_bits = batch.pc[base + j] >> 2;
-                uint8_t &counter =
-                    pht_[pht_index_of(pc_bits, hist_reg & historyMask_)];
-                bool prediction = counter > counterInit_;
-                uint8_t t = batch.taken[base + j];
-                if (t) {
-                    if (counter < counterMax_)
-                        ++counter;
-                } else {
-                    if (counter > 0)
-                        --counter;
-                }
-                hist_reg = ((hist_reg << 1) | t) & historyMask_;
-                bool correct = prediction == (t != 0);
-                n_correct += correct ? 1 : 0;
-                if (correct_out)
-                    correct_out[base + j] = correct ? 1 : 0;
-            }
-        };
-        switch (config_.index) {
-          case TwoLevelConfig::Index::HistoryOnly:
-            train([&](uint64_t, uint64_t hist) {
-                return hist & phtMask_;
-            });
-            break;
-          case TwoLevelConfig::Index::Concat:
-            train([&](uint64_t pc_bits, uint64_t hist) {
-                uint64_t select = pc_bits & select_mask;
-                return ((select << config_.historyBits) | hist) &
-                    phtMask_;
-            });
-            break;
-          case TwoLevelConfig::Index::Xor:
-            train([&](uint64_t pc_bits, uint64_t hist) {
-                return (hist ^ pc_bits) & phtMask_;
-            });
-            break;
+    // Predict branch j from counter pht_index, then train it.
+    auto train = [&](size_t j, size_t pht_index) noexcept {
+        uint8_t &counter = pht_[pht_index];
+        bool prediction = counter > counterInit_;
+        uint8_t t = batch.taken[j];
+        if (t) {
+            if (counter < counterMax_)
+                ++counter;
+        } else {
+            if (counter > 0)
+                --counter;
         }
-        base += n;
+        bool correct = prediction == (t != 0);
+        n_correct += correct ? 1 : 0;
+        if (correct_out)
+            correct_out[j] = correct ? 1 : 0;
+    };
+    // One fused loop per scope and index flavour: hoisting both
+    // switches out of the per-branch work is the whole win over the
+    // scalar predict/update path.
+    auto fused = [&](auto pht_index_of) noexcept {
+        if (config_.scope == TwoLevelConfig::Scope::Global) {
+            // The history lives in a local for the whole batch: the
+            // counter stores are byte stores, which may alias
+            // histories_, so going through the vector would reload it
+            // every branch.
+            uint64_t hist = histories_[0];
+            for (size_t j = 0; j < batch.count; ++j) {
+                train(j, pht_index_of(batch.pc[j] >> 2,
+                                      hist & historyMask_));
+                hist = ((hist << 1) | batch.taken[j]) & historyMask_;
+            }
+            histories_[0] = hist;
+            return;
+        }
+        // Per-address histories serialize on the BHT row: the PHT
+        // index needs the row's just-updated history.
+        for (size_t j = 0; j < batch.count; ++j) {
+            uint64_t pc_bits = batch.pc[j] >> 2;
+            uint64_t &hist_reg = histories_[pc_bits & bht_mask];
+            train(j, pht_index_of(pc_bits, hist_reg & historyMask_));
+            hist_reg = ((hist_reg << 1) | batch.taken[j]) & historyMask_;
+        }
+    };
+    switch (config_.index) {
+      case TwoLevelConfig::Index::HistoryOnly:
+        fused([&](uint64_t, uint64_t hist) noexcept {
+            return hist & phtMask_;
+        });
+        break;
+      case TwoLevelConfig::Index::Concat:
+        fused([&](uint64_t pc_bits, uint64_t hist) noexcept {
+            uint64_t select = pc_bits & select_mask;
+            return ((select << config_.historyBits) | hist) & phtMask_;
+        });
+        break;
+      case TwoLevelConfig::Index::Xor:
+        fused([&](uint64_t pc_bits, uint64_t hist) noexcept {
+            return (hist ^ pc_bits) & phtMask_;
+        });
+        break;
     }
     return n_correct;
 }

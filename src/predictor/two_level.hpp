@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "predictor/kernels.hpp"
 #include "predictor/predictor.hpp"
 #include "predictor/state.hpp"
 #include "util/sat_counter.hpp"
@@ -99,10 +98,8 @@ class TwoLevel : public Predictor
     void update(const trace::BranchRecord &br, bool taken) noexcept override;
 
     /**
-     * Column-kernel batch path (same results as predict + update):
-     * the index phase runs through the dispatched batch kernels
-     * (predictor/kernels.hpp) in fixed-size L1-resident tiles; only
-     * the saturating-counter training loop stays serial.
+     * Fused batch path (same results as predict + update): one scalar
+     * loop per scope and index flavour over the pc/taken columns.
      */
     uint64_t
     predictUpdateSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept override;
@@ -145,19 +142,10 @@ class TwoLevel : public Predictor
     COPRA_CONFIG_FIELDS(config_, historyMask_, phtMask_, counterMax_,
                         counterInit_);
     COPRA_STATE_FIELDS(histories_, pht_);
-    COPRA_TRANSIENT_FIELDS(histScratch_, idxScratch_, kernelCounts_,
-                           kernels_);
 
   private:
-    /** Records per kernel tile; bounds the index scratch to ~24 KiB so
-     * it stays L1-resident for any batch length. */
-    static constexpr size_t kKernelTile = 2048;
-
     uint64_t &historyFor(uint64_t pc) noexcept;
     uint64_t historyFor(uint64_t pc) const noexcept;
-
-    uint64_t runGlobalSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept;
-    uint64_t runPerAddressSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept;
 
     TwoLevelConfig config_;
     uint64_t historyMask_;
@@ -166,13 +154,6 @@ class TwoLevel : public Predictor
     uint8_t counterInit_;
     std::vector<uint64_t> histories_; // size 1 (global) or 2^bhtBits
     std::vector<uint8_t> pht_;        // counterBits-wide counters
-    std::vector<uint64_t> histScratch_; // kernel tile: history words
-    std::vector<uint32_t> idxScratch_;  // kernel tile: table indices
-    kernels::BatchCounters kernelCounts_; // flushes to obs on destroy
-    /** Dispatch table resolved once at construction: the tier is fixed
-     * per process, and activeTier()'s guarded initialization is off
-     * limits inside the hot region (hot-lock). */
-    const kernels::Kernels *kernels_ = nullptr;
 };
 
 } // namespace copra::predictor

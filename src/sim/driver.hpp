@@ -6,7 +6,7 @@
  * through (they exist for path/backward bookkeeping in the analyses).
  *
  * Concurrency contract (DESIGN.md §10): the driver holds no shared
- * mutable state of its own — runAllParallel shards by predictor index,
+ * mutable state of its own — runAll shards by predictor index,
  * each task owning its predictor, result slot, and ledger outright,
  * with the trace shared strictly read-only. There is deliberately
  * nothing here for a mutex to guard; the statically checked locking
@@ -75,57 +75,46 @@ struct LoopTotals
     uint64_t branches = 0;
 };
 
+/** Largest conditional segment of @p soa (runLoop scratch sizing). */
+size_t maxSegment(const trace::SoABlocks &soa);
+
 /**
  * The steady-state inner loop of run(): stream every conditional
  * segment of a prebuilt SoA image through the predictor's batch entry
  * point, delivering non-conditional records to observe() in trace
- * order, and — when @p packed is non-null — fold one packed
- * execs/taken/correct word per branch into the ledger accumulators.
+ * order, and — when @p tallies is non-null — add each branch's
+ * execution, outcome and correctness into tallies[static index].
  *
  * This is a COPRA_HOT root: between the buffers being handed in and
  * the totals coming back it allocates nothing, takes no locks, and
- * cannot throw (DESIGN.md §15). All buffers are caller-owned: @p
- * correct_scratch must hold the largest segment's count when @p packed
- * is used (it always may be written), and @p packed / @p tallies must
- * hold soa.staticCount() entries or be null together. `copra_check
- * --hot-gates` replays this exact function under the counting
- * allocator to prove the claim at runtime.
+ * cannot throw (DESIGN.md §15). All buffers are caller-owned: when
+ * @p tallies is non-null it must hold soa.staticCount() entries and
+ * @p correct_scratch maxSegment(soa) entries. `copra_check
+ * --hot-gates` replays this exact function, ledger buffers included,
+ * under the counting allocator to prove the claim at runtime.
  */
 COPRA_HOT LoopTotals
 runLoop(const trace::SoABlocks &soa, predictor::Predictor &pred,
-        uint8_t *correct_scratch, uint64_t *packed,
-        BranchTally *tallies) noexcept;
+        uint8_t *correct_scratch, BranchTally *tallies) noexcept;
 
 /**
- * Run several predictors over the same trace in a single pass, so every
- * ledger covers exactly the same dynamic branches.
+ * Run several predictors over the same trace, sharding predictors
+ * across a thread pool: one full trace pass per predictor, each
+ * independent, so every ledger covers exactly the same dynamic
+ * branches and results and ledgers are bit-identical to serial run()
+ * calls for every pool size — predictors own all their adaptive state
+ * and there is no shared RNG. A pool of one runs the passes serially
+ * on the calling thread.
  *
- * @param preds Predictors to drive (all receive every branch).
- * @param ledgers Optional parallel array of ledgers, one per predictor
- *                (pass nullptr to skip, or a vector shorter than preds).
- */
-std::vector<RunResult> runAll(
-    const trace::Trace &trace,
-    const std::vector<predictor::Predictor *> &preds,
-    std::vector<Ledger> *ledgers = nullptr);
-
-/**
- * Run several predictors over the same trace concurrently, sharding
- * predictors across a thread pool. Unlike runAll this performs one full
- * trace pass per predictor, but each pass is independent, so results
- * and ledgers are bit-identical to runAll (and to serial run calls) for
- * every thread count — predictors own all their adaptive state and
- * there is no shared RNG.
- *
- * @param preds Predictors to drive (all receive every branch).
+ * @param preds Predictors to drive (all receive every branch); each
+ *              must be a distinct object.
  * @param ledgers Optional ledger sink; resized to preds.size().
  * @param pool Pool to shard across (nullptr = the global pool).
  */
-std::vector<RunResult> runAllParallel(
+std::vector<RunResult> runAll(
     const trace::Trace &trace,
     const std::vector<predictor::Predictor *> &preds,
     std::vector<Ledger> *ledgers = nullptr,
     ThreadPool *pool = nullptr);
 
 } // namespace copra::sim
-

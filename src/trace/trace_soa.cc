@@ -240,21 +240,6 @@ SoABlocks::reserve(size_t n)
     refresh();
 }
 
-SoABlocks::BlockView
-SoABlocks::block(size_t i) const
-{
-    panicIf(i >= blockCount(), "SoABlocks::block index out of range");
-    size_t begin = i * kBlockRecords;
-    size_t count = std::min(kBlockRecords, size_ - begin);
-    BlockView view;
-    view.firstRecord = begin;
-    view.pc = {pc_ + begin, count};
-    view.target = {target_ + begin, count};
-    view.kind = {kind_ + begin, count};
-    view.taken = {taken_ + begin, count};
-    return view;
-}
-
 SoABlocks
 SoABlocks::prefix(uint64_t n_conditionals) const
 {

@@ -14,10 +14,9 @@
  * and the static index, and an append to a shared or borrowed image
  * first moves it onto private buffers.
  *
- * BranchRecord values are materialized on demand (recordAt()).
- * Kernels may also consume the columns through fixed-size blocks
- * (block()) so their per-batch scratch buffers stay L1-resident
- * regardless of trace length.
+ * BranchRecord values are materialized on demand (recordAt()); the
+ * simulation driver hands each conditional segment's columns to a
+ * predictor's batch entry point as they are.
  */
 
 #pragma once
@@ -35,24 +34,11 @@ namespace copra::trace {
 class SoABlocks
 {
   public:
-    /** Records per fixed-size block view (see block()). */
-    static constexpr size_t kBlockRecords = size_t(1) << 16;
-
     /** A maximal run of consecutive conditional records. */
     struct Segment
     {
         size_t begin = 0; //!< index of the first record of the run
         size_t count = 0; //!< number of consecutive conditionals
-    };
-
-    /** One fixed-size window over the columns. */
-    struct BlockView
-    {
-        size_t firstRecord = 0;
-        std::span<const uint64_t> pc;
-        std::span<const uint64_t> target;
-        std::span<const uint8_t> kind;
-        std::span<const uint8_t> taken;
     };
 
     SoABlocks() = default;
@@ -127,16 +113,6 @@ class SoABlocks
     {
         return segments_;
     }
-
-    /** Number of kBlockRecords-sized blocks covering the columns. */
-    size_t
-    blockCount() const noexcept
-    {
-        return (size_ + kBlockRecords - 1) / kBlockRecords;
-    }
-
-    /** Fixed-size window @p i over the columns (last may be short). */
-    BlockView block(size_t i) const;
 
     /** Materialize record @p i. */
     BranchRecord

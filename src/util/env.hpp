@@ -6,7 +6,7 @@
  * hidden input channel, and scattering them makes "what did this run
  * depend on?" unanswerable. Every knob goes through here so the full
  * set of recognized variables is greppable in one place
- * (COPRA_THREADS, COPRA_CACHE_DIR, COPRA_SIMD today).
+ * (COPRA_THREADS, COPRA_CACHE_DIR, COPRA_METRICS_OUT today).
  */
 
 #pragma once

@@ -3,7 +3,7 @@
  * A fixed-size task pool for the parallel experiment engine.
  *
  * Every unit of parallel work in copra — predictors sharded by
- * sim::runAllParallel, static branches partitioned by the selective
+ * sim::runAll, static branches partitioned by the selective
  * oracle, benchmarks fanned out by the bench harnesses — is independent
  * and owns its state, so the pool needs no work stealing and no task
  * priorities: a mutex-protected FIFO queue drained by a fixed set of

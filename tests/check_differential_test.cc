@@ -3,7 +3,7 @@
  * The differential-verification acceptance gate.
  *
  * 1. Zero mismatches between every optimized predictor path (scalar,
- *    soa, sim::run, runAllParallel) and the clarity-first reference
+ *    soa, sim::run, sharded runAll) and the clarity-first reference
  *    models over 100 fuzzed traces at a fixed seed range.
  * 2. Self-test: each deliberately-injected predictor bug is caught by
  *    the same harness and shrunk to a reproducer of at most 1000

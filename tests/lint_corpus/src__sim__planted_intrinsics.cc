@@ -1,8 +1,7 @@
 /**
  * Corpus: planted raw-SIMD leaks. Intrinsics and their headers are
- * confined to the kernel TUs (kernels_avx2.cc / kernels_neon.cc);
- * anywhere else — this file lints as src/sim/... — every marked line
- * must fire banned-api.
+ * banned in every TU, so every marked line of this file (which lints
+ * as src/sim/...) must fire banned-api.
  */
 
 #include <immintrin.h> // expect: banned-api

@@ -1,9 +1,8 @@
 /**
  * Corpus: an intrinsic-type mention justified with allow(). The escape
  * hatch exists for talking *about* the vector ABI (an alias, a sizeof
- * probe) without moving vector code out of the kernel TUs; the
- * directive must silence the rule, so this file contributes zero
- * findings.
+ * probe) without writing vector code; the directive must silence the
+ * rule, so this file contributes zero findings.
  */
 
 namespace copra::sim {

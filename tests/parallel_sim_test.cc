@@ -1,9 +1,9 @@
 /**
  * @file
  * Determinism tests for the parallel experiment engine: the parallel
- * paths (runAllParallel, the oracle's partitioned greedy selection, the
- * batched driver loop) must produce results bit-identical to the serial
- * paths for every thread count. Also the test the TSan ctest target
+ * paths (runAll on pools of every size, the oracle's partitioned
+ * greedy selection, the batched driver loop) must produce results
+ * bit-identical to the serial paths for every thread count. Also the test the TSan ctest target
  * runs to catch data races in the sharding.
  */
 
@@ -87,34 +87,54 @@ expectSameLedgers(const std::vector<Ledger> &a,
     }
 }
 
-TEST(RunAllParallel, MatchesSerialRunAllAcrossThreadCounts)
+/** The reference for runAll: one plain run() per predictor, in order. */
+std::vector<RunResult>
+serialRuns(const trace::Trace &trace, std::vector<Ledger> &ledgers)
 {
-    trace::Trace trace = testTrace();
-
-    auto serial_zoo = predictorZoo();
-    std::vector<Ledger> serial_ledgers;
-    auto serial =
-        runAll(trace, raw(serial_zoo), &serial_ledgers);
-
-    for (unsigned threads : {1u, 2u, 8u}) {
-        ThreadPool pool(threads);
-        auto parallel_zoo = predictorZoo();
-        std::vector<Ledger> parallel_ledgers;
-        auto parallel = runAllParallel(trace, raw(parallel_zoo),
-                                       &parallel_ledgers, &pool);
-        expectSameResults(serial, parallel);
-        expectSameLedgers(serial_ledgers, parallel_ledgers);
-    }
+    auto zoo = predictorZoo();
+    std::vector<RunResult> results;
+    ledgers.assign(zoo.size(), Ledger{});
+    for (size_t i = 0; i < zoo.size(); ++i)
+        results.push_back(run(trace, *zoo[i], &ledgers[i]));
+    return results;
 }
 
-TEST(RunAllParallel, UsesGlobalPoolByDefault)
+/** runAll on @p pool (nullptr = the global pool) against serialRuns. */
+void
+expectRunAllMatchesSerial(ThreadPool *pool)
 {
     trace::Trace trace = testTrace();
-    auto zoo_a = predictorZoo();
-    auto zoo_b = predictorZoo();
-    auto serial = runAll(trace, raw(zoo_a));
-    auto parallel = runAllParallel(trace, raw(zoo_b));
-    expectSameResults(serial, parallel);
+    std::vector<Ledger> serial_ledgers;
+    auto serial = serialRuns(trace, serial_ledgers);
+
+    auto zoo = predictorZoo();
+    std::vector<Ledger> ledgers;
+    auto results = runAll(trace, raw(zoo), &ledgers, pool);
+    expectSameResults(serial, results);
+    expectSameLedgers(serial_ledgers, ledgers);
+}
+
+TEST(RunAll, PoolOfOneMatchesSerialRuns)
+{
+    ThreadPool pool(1);
+    expectRunAllMatchesSerial(&pool);
+}
+
+TEST(RunAll, PoolOfTwoMatchesSerialRuns)
+{
+    ThreadPool pool(2);
+    expectRunAllMatchesSerial(&pool);
+}
+
+TEST(RunAll, PoolOfEightMatchesSerialRuns)
+{
+    ThreadPool pool(8);
+    expectRunAllMatchesSerial(&pool);
+}
+
+TEST(RunAll, DefaultPoolMatchesSerialRuns)
+{
+    expectRunAllMatchesSerial(nullptr);
 }
 
 TEST(BatchedDriver, TwoLevelBatchMatchesScalarVirtualLoop)

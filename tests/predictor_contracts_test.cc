@@ -61,12 +61,17 @@ TEST(PredictorContracts, BatchEntryPointMatchesScalarLoop)
     for (const std::string &spec : knownPredictors()) {
         auto batched = makePredictor(spec);
         auto scalar = makePredictor(spec);
-        uint64_t batch_correct = batched->predictUpdateSoa(batch, nullptr);
+        std::vector<uint8_t> correct_out(conds.size(), 2);
+        uint64_t batch_correct =
+            batched->predictUpdateSoa(batch, correct_out.data());
         uint64_t scalar_correct = 0;
-        for (const auto &rec : conds) {
-            scalar_correct +=
-                scalar->predict(rec) == rec.taken ? 1 : 0;
+        for (size_t i = 0; i < conds.size(); ++i) {
+            const auto &rec = conds[i];
+            bool correct = scalar->predict(rec) == rec.taken;
             scalar->update(rec, rec.taken);
+            scalar_correct += correct ? 1 : 0;
+            ASSERT_EQ(correct_out[i], correct ? 1 : 0)
+                << spec << " branch " << i;
         }
         EXPECT_EQ(batch_correct, scalar_correct) << spec;
     }

@@ -4,9 +4,9 @@
  * the versioned text grammar, the CSV dialect (including out-of-order
  * index normalization), the CBP-style binary reader with its corruption
  * and endianness tripwires, and the ingest → cache-v2 → SoA round trip.
- * Also pins the ledger's packed-tally flush across the 2^21 field
- * boundary, since ingested foreign traces are the first consumers long
- * enough to cross it with a single static branch.
+ * Also pins exact ledger counts past 2^21 executions of one static
+ * branch: ingested foreign traces are the first consumers that long,
+ * and a former packed 21-bit tally wrapped there.
  */
 
 #include <gtest/gtest.h>
@@ -357,27 +357,29 @@ TEST(IngestRoundTrip, SurvivesCacheV2AndSoA)
     EXPECT_EQ(0, std::memcmp(sa.kind(), sb.kind(), sa.size()));
 }
 
-TEST(IngestLedger, PackedTallyFlushSurvivesTwoPow21Executions)
+TEST(IngestLedger, LedgerCountsSurviveTwoPow21Executions)
 {
-    // The driver packs per-branch execs/taken/correct into 21-bit
-    // fields flushed every 2^20 branches. A single static branch
-    // executed more than 2^21 times would overflow a field without the
-    // flush; long ingested traces are the realistic trigger, so pin
-    // exact accounting across that boundary.
+    // A single static branch executed more than 2^21 times in one
+    // conditional segment; long ingested traces are the realistic
+    // trigger. Every tally field must count exactly across that
+    // boundary, for the bimodal and the global-history batch paths.
     constexpr uint64_t kExecs = (uint64_t(1) << 21) + 5;
     Trace t("flush-boundary", 1);
     for (uint64_t i = 0; i < kExecs; ++i)
         t.append({0x100, 0x180, BranchKind::Conditional, (i & 1) != 0});
 
-    auto pred = predictor::makePredictor("bimodal");
-    sim::Ledger ledger;
-    sim::RunResult result = sim::run(t, *pred, &ledger);
-    EXPECT_EQ(result.dynamicBranches, kExecs);
-    sim::BranchTally tally = ledger.branch(0x100);
-    EXPECT_EQ(tally.execs, kExecs);
-    EXPECT_EQ(tally.taken, kExecs / 2);
-    EXPECT_EQ(ledger.dynamic(), kExecs);
-    EXPECT_EQ(ledger.correct(), result.correct);
+    for (const char *spec : {"bimodal", "gshare"}) {
+        auto pred = predictor::makePredictor(spec);
+        sim::Ledger ledger;
+        sim::RunResult result = sim::run(t, *pred, &ledger);
+        EXPECT_EQ(result.dynamicBranches, kExecs) << spec;
+        sim::BranchTally tally = ledger.branch(0x100);
+        EXPECT_EQ(tally.execs, kExecs) << spec;
+        EXPECT_EQ(tally.taken, kExecs / 2) << spec;
+        EXPECT_EQ(tally.correct, result.correct) << spec;
+        EXPECT_EQ(ledger.dynamic(), kExecs) << spec;
+        EXPECT_EQ(ledger.correct(), result.correct) << spec;
+    }
 }
 
 } // namespace

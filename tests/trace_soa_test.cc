@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the column representation of a trace and the v2 loaders:
- * columns against the record view over fuzzed traces, block views,
+ * columns against the record view over fuzzed traces,
  * segment and static-index maintenance under append / appendTrace /
  * prefix, column sharing across copies and views, the mapped loader's
  * lifetime guarantees, and both loaders' rejection of truncated,
@@ -132,22 +132,6 @@ TEST(TraceSoa, SegmentsCoverExactlyTheConditionalRuns)
                       t[i].kind == BranchKind::Conditional)
                 << "seed " << seed << " rec " << i;
     }
-}
-
-TEST(TraceSoa, BlocksTileTheColumns)
-{
-    Trace t = check::fuzzTrace(5, 2000);
-    const SoABlocks &soa = t.soa();
-    size_t seen = 0;
-    for (size_t b = 0; b < soa.blockCount(); ++b) {
-        SoABlocks::BlockView view = soa.block(b);
-        EXPECT_EQ(view.firstRecord, seen);
-        ASSERT_EQ(view.pc.size(), view.taken.size());
-        for (size_t i = 0; i < view.pc.size(); ++i)
-            ASSERT_EQ(view.pc[i], t[seen + i].pc);
-        seen += view.pc.size();
-    }
-    EXPECT_EQ(seen, t.size());
 }
 
 TEST(TraceSoa, StaticIndexIsDenseInFirstAppearanceOrder)

@@ -95,16 +95,13 @@ eligibleRel(const std::string &rel)
         rel.rfind("src/check/", 0) != 0 && rel.rfind("src/obs/", 0) != 0;
 }
 
-/** Compiler intrinsics (SIMD lanes, builtins): single-instruction
- * register ops that cannot allocate, lock, throw, or do IO. Raw
- * intrinsics are confined to the kernel TUs by the banned-api rule. */
+/** Compiler builtins (`__builtin_*` and kin): single-instruction
+ * register ops that cannot allocate, lock, throw, or do IO. Raw SIMD
+ * intrinsics never get here: banned-api rejects them in every TU. */
 bool
-isIntrinsicName(const std::string &t)
+isBuiltinName(const std::string &t)
 {
-    if (t.rfind("_mm", 0) == 0 || t.rfind("__", 0) == 0)
-        return true; // x86 _mm*/_mm256_* and __builtin_* families
-    return t.size() > 2 && t[0] == 'v' &&
-        t.find("q_") != std::string::npos; // NEON vaddq_u64-style names
+    return t.rfind("__", 0) == 0;
 }
 
 bool
@@ -142,14 +139,6 @@ const std::set<std::string> kBenignCalls = {
     "countr_zero", "countl_zero", "rotl", "rotr", "subspan", "first",
     "last", "get", "swap", "fill", "exchange", "bit_cast", "midpoint",
     "clear",
-};
-
-/** The kernel dispatch seam's function-pointer fields. Calls through
- * them are lexically unresolvable, but the pointer types are declared
- * noexcept and every implementation carries its own COPRA_HOT root in
- * its TU — the targets are all independently inside the region. */
-const std::set<std::string> kKernelSeam = {
-    "xorIndices", "maskIndices", "concatIndices", "pcIndices",
 };
 
 /** `std::` names whose mention in a hot body is an allocation. */
@@ -369,8 +358,7 @@ scanBody(const CallGraph &cg, const Resolver &rsv, const SemaModel &model,
         bool qualified = prev && *prev == "::" && prev2;
 
         if (member) {
-            if (inSet(kBenignCalls, t) || lambdaNames.count(t) ||
-                inSet(kKernelSeam, t))
+            if (inSet(kBenignCalls, t) || lambdaNames.count(t))
                 continue;
             if (inSet(kLockMembers, t)) {
                 viol(j, "hot-lock",
@@ -449,7 +437,7 @@ scanBody(const CallGraph &cg, const Resolver &rsv, const SemaModel &model,
                     edges(targets);
                 continue;
             }
-            // Namespace-qualified free call (kernels::, state::, ...).
+            // Namespace-qualified free call (state::, sim::, ...).
             auto fit = rsv.byFree.find(t);
             if (fit == rsv.byFree.end()) {
                 viol(j, "hot-unresolved",
@@ -465,7 +453,7 @@ scanBody(const CallGraph &cg, const Resolver &rsv, const SemaModel &model,
         if (inSet(kKeywords, t) || inSet(kTypeNames, t) ||
             inSet(kBenignCalls, t) || lambdaNames.count(t))
             continue;
-        if (inSet(kPanicCalls, t) || isIntrinsicName(t))
+        if (inSet(kPanicCalls, t) || isBuiltinName(t))
             continue;
         if (model.classes.count(t)) {
             // Constructor call `Type(...)`: user-declared constructor
@@ -957,8 +945,8 @@ renderHotPathDoc(const CallGraph &cg, const SemaModel &model,
 
     os << "\n## Shared hot functions\n"
           "\n"
-          "Support code (kernels, counters, record accessors, the\n"
-          "driver loop) reached by more than one predictor's path.\n"
+          "Support code (counters, record accessors, the driver\n"
+          "loop) reached by more than one predictor's path.\n"
           "\n"
           "| function | defined in |\n"
           "|---|---|\n";

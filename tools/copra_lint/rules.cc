@@ -109,22 +109,13 @@ isIntrinsicToken(const std::string &t)
         std::isdigit(static_cast<unsigned char>(t[3]));
 }
 
-/** The only TUs allowed to touch raw intrinsics (kernels.hpp seam). */
-bool
-isKernelTu(const std::string &rel)
-{
-    return rel == "src/predictor/kernels_avx2.cc" ||
-        rel == "src/predictor/kernels_neon.cc";
-}
-
 /**
  * Rule banned-api: entropy and environment doorways are forbidden in
  * result-producing code. Clock types anywhere in scope need an
  * explicit allow() marking them as timing-only; getenv is legal only
- * under src/util (the env.hpp doorway). Raw SIMD intrinsics (and their
- * headers) are confined to the dedicated kernel TUs so vector code
- * stays behind the predictor/kernels.hpp dispatch seam, where the
- * scalar twin and the differential gate can police it.
+ * under src/util (the env.hpp doorway). Raw SIMD intrinsics and their
+ * headers are banned in every TU: the hot loops are plain scalar code,
+ * and hand-vectorized twins measured no gain worth their upkeep.
  */
 void
 ruleBannedApi(const FileScan &scan, std::vector<Finding> &out)
@@ -133,19 +124,11 @@ ruleBannedApi(const FileScan &scan, std::vector<Finding> &out)
         inDir(scan.rel, "src/predictor/") || inDir(scan.rel, "src/core/");
     bool getenvScope = inDir(scan.rel, "src/") &&
         !inDir(scan.rel, "src/util/");
-    bool intrinsicScope = !isKernelTu(scan.rel);
-    if (!resultScope && !getenvScope && !intrinsicScope)
-        return;
-
-    if (intrinsicScope) {
-        for (const Include &inc : scan.includeList) {
-            if (inc.target == "immintrin.h" ||
-                inc.target == "arm_neon.h") {
-                report(out, scan, inc.line, "banned-api",
-                       "<" + inc.target + "> outside the kernel TUs: "
-                       "raw SIMD lives only in kernels_avx2.cc / "
-                       "kernels_neon.cc behind predictor/kernels.hpp");
-            }
+    for (const Include &inc : scan.includeList) {
+        if (inc.target == "immintrin.h" || inc.target == "arm_neon.h") {
+            report(out, scan, inc.line, "banned-api",
+                   "<" + inc.target + ">: raw SIMD is banned in every "
+                   "TU; write the loop in scalar code");
         }
     }
 
@@ -161,11 +144,10 @@ ruleBannedApi(const FileScan &scan, std::vector<Finding> &out)
               toks[i - 2].text == "-"));
         bool called = i + 1 < toks.size() && toks[i + 1].text == "(";
 
-        if (intrinsicScope && isIntrinsicToken(t) && !member) {
+        if (isIntrinsicToken(t) && !member) {
             report(out, scan, toks[i].line, "banned-api",
-                   "raw SIMD intrinsic '" + t + "' outside the kernel "
-                   "TUs: add it to kernels_avx2.cc/kernels_neon.cc and "
-                   "dispatch through predictor/kernels.hpp");
+                   "raw SIMD intrinsic '" + t + "' is banned in every "
+                   "TU; write the loop in scalar code");
             continue;
         }
         if (getenvScope && t == "getenv" && (qualified || called) &&
@@ -502,8 +484,8 @@ ruleCatalog()
          "the file-level include graph is acyclic"},
         {"banned-api",
          "no rand/srand/time/clock/random_device/*_clock in src/{sim,"
-         "predictor,core}; getenv only under src/util; raw SIMD "
-         "intrinsics only in the kernels_avx2/kernels_neon TUs"},
+         "predictor,core}; getenv only under src/util; no raw SIMD "
+         "intrinsics or intrinsic headers in any TU"},
         {"unordered-iter",
          "no range-for over std::unordered_{map,set} in src/ or bench/ "
          "without an allow() justification"},
