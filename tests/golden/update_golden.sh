@@ -32,6 +32,9 @@ benches=(
     fig9_gshare_vs_pas
     fig10_modern_roster
     table3_pas_loop
+    fig6_pa_classes
+    fig8_class_distribution
+    table2_gshare_corr
 )
 
 for bench in "${benches[@]}"; do

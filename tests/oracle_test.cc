@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+
 #include "core/oracle.hpp"
 #include "core/selective.hpp"
 #include "sim/driver.hpp"
@@ -288,6 +291,126 @@ TEST(Oracle, MixedBenchmarkOnlineReplayConsistency)
             ++mismatched;
     }
     EXPECT_EQ(mismatched, 0u);
+}
+
+/** FNV-1a over 64-bit words, little-endian byte order. */
+struct Digest
+{
+    uint64_t hash = 0xcbf29ce484222325ull;
+
+    void
+    add(uint64_t word)
+    {
+        for (unsigned i = 0; i < 8; ++i) {
+            hash ^= (word >> (8 * i)) & 0xffu;
+            hash *= 0x100000001b3ull;
+        }
+    }
+};
+
+/**
+ * Hash of everything the oracle decides for @p trace under @p config:
+ * per branch in pc order, (pc, execs, taken, correct[0..2], chosen tags
+ * per size), then the miner's top 28 candidates with their exact gains.
+ */
+uint64_t
+oracleDigest(const trace::Trace &trace, const OracleConfig &config)
+{
+    SelectiveOracle oracle(trace, config);
+    CandidateMiner miner(config.historyDepth, config.perBranchTagCap);
+    miner.mine(trace, config.mineConditionals);
+
+    std::vector<uint64_t> pcs;
+    for (const auto &[pc, sel] : oracle.branches())
+        pcs.push_back(pc);
+    std::sort(pcs.begin(), pcs.end());
+
+    Digest digest;
+    for (uint64_t pc : pcs) {
+        const BranchSelection &sel = *oracle.branch(pc);
+        digest.add(pc);
+        digest.add(sel.execs);
+        digest.add(sel.taken);
+        for (uint64_t correct : sel.correct)
+            digest.add(correct);
+        for (const std::vector<Tag> &tags : sel.chosen) {
+            digest.add(tags.size());
+            for (const Tag &tag : tags)
+                digest.add(tag.packed);
+        }
+        for (const ScoredCandidate &cand : miner.topCandidates(pc, 28)) {
+            digest.add(cand.tag.packed);
+            digest.add(std::bit_cast<uint64_t>(cand.gain));
+        }
+    }
+    return digest.hash;
+}
+
+/** The suite members the digests cover. */
+const char *const kDigestMembers[] = {"gcc", "go", "perl", "xlisp"};
+
+/**
+ * Pinned oracle digests. Any change to the window, the miner, the
+ * recorder or the selector that alters a single per-branch count, tag
+ * choice, tie-break or candidate gain changes these; a speed-only
+ * change must leave them alone.
+ */
+TEST(OracleDigest, DefaultConfigIsPinned)
+{
+    const uint64_t expected[] = {
+        0x4f1e52a69b29d7beull, 0xcc9aa6481cabaad9ull,
+        0xc68acc412fbc474dull, 0x04cd54233b6af86dull};
+    for (size_t i = 0; i < 4; ++i) {
+        auto trace = workload::makeBenchmarkTrace(kDigestMembers[i], 20000);
+        uint64_t got = oracleDigest(trace, OracleConfig{});
+        EXPECT_EQ(got, expected[i])
+            << kDigestMembers[i] << std::hex << " 0x" << got;
+    }
+}
+
+TEST(OracleDigest, MinedPrefixIsPinned)
+{
+    const uint64_t expected[] = {
+        0x828742ab9c10e22cull, 0x99e37eff6fbb46f4ull,
+        0x6291ba1c6b98fbfcull, 0xc037896c7ab4affbull};
+    OracleConfig config;
+    config.mineConditionals = 5000;
+    for (size_t i = 0; i < 4; ++i) {
+        auto trace = workload::makeBenchmarkTrace(kDigestMembers[i], 20000);
+        uint64_t got = oracleDigest(trace, config);
+        EXPECT_EQ(got, expected[i])
+            << kDigestMembers[i] << std::hex << " 0x" << got;
+    }
+}
+
+TEST(OracleDigest, BackwardOnlyFilterIsPinned)
+{
+    const uint64_t expected[] = {
+        0x8a78434ae6ccb155ull, 0xbb47080408d5d7d5ull,
+        0xd9fb9c6b49e12f84ull, 0x255210daba4505b8ull};
+    OracleConfig config;
+    config.tagFilter = OracleConfig::TagFilter::BackwardOnly;
+    for (size_t i = 0; i < 4; ++i) {
+        auto trace = workload::makeBenchmarkTrace(kDigestMembers[i], 20000);
+        uint64_t got = oracleDigest(trace, config);
+        EXPECT_EQ(got, expected[i])
+            << kDigestMembers[i] << std::hex << " 0x" << got;
+    }
+}
+
+TEST(OracleDigest, ExhaustiveSearchIsPinned)
+{
+    const uint64_t expected[] = {
+        0x552780d7d1f8ac88ull, 0xab38e246f363ba6dull,
+        0xb1e79bb63534dfedull, 0x223dabc28811b327ull};
+    OracleConfig config;
+    config.exhaustive = true;
+    for (size_t i = 0; i < 4; ++i) {
+        auto trace = workload::makeBenchmarkTrace(kDigestMembers[i], 3000);
+        uint64_t got = oracleDigest(trace, config);
+        EXPECT_EQ(got, expected[i])
+            << kDigestMembers[i] << std::hex << " 0x" << got;
+    }
 }
 
 TEST(OracleDeath, ConfigBoundsEnforced)
