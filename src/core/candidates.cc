@@ -1,6 +1,7 @@
 #include "core/candidates.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/logging.hpp"
@@ -17,7 +18,65 @@ entropyOf(double p)
     return -p * std::log2(p) - (1.0 - p) * std::log2(1.0 - p);
 }
 
+/** Fibonacci hash of a packed tag onto a 2^bits-slot table. */
+inline size_t
+slotOf(uint64_t packed, unsigned bits) noexcept
+{
+    return static_cast<size_t>((packed * 0x9e3779b97f4a7c15ull) >>
+                               (64 - bits));
+}
+
 } // namespace
+
+Contingency *
+ContingencyTable::find(uint64_t packed) noexcept
+{
+    if (slots_.empty())
+        return nullptr;
+    size_t mask = slots_.size() - 1;
+    unsigned bits = static_cast<unsigned>(std::countr_zero(slots_.size()));
+    for (size_t i = slotOf(packed, bits);; i = (i + 1) & mask) {
+        if (slots_[i].packed == packed)
+            return &slots_[i].counts;
+        if (slots_[i].packed == kEmpty)
+            return nullptr;
+    }
+}
+
+Contingency &
+ContingencyTable::insert(uint64_t packed)
+{
+    if (4 * (size_ + 1) > 3 * slots_.size())
+        grow();
+    size_t mask = slots_.size() - 1;
+    unsigned bits = static_cast<unsigned>(std::countr_zero(slots_.size()));
+    size_t i = slotOf(packed, bits);
+    while (slots_[i].packed != kEmpty && slots_[i].packed != packed)
+        i = (i + 1) & mask;
+    if (slots_[i].packed == kEmpty) {
+        slots_[i].packed = packed;
+        ++size_;
+    }
+    return slots_[i].counts;
+}
+
+void
+ContingencyTable::grow()
+{
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? 16 : 2 * old.size(),
+                  Slot{kEmpty, Contingency{}});
+    size_t mask = slots_.size() - 1;
+    unsigned bits = static_cast<unsigned>(std::countr_zero(slots_.size()));
+    for (const Slot &slot : old) {
+        if (slot.packed == kEmpty)
+            continue;
+        size_t i = slotOf(slot.packed, bits);
+        while (slots_[i].packed != kEmpty)
+            i = (i + 1) & mask;
+        slots_[i] = slot;
+    }
+}
 
 CandidateMiner::CandidateMiner(unsigned depth, size_t per_branch_cap)
     : depth_(depth), perBranchCap_(per_branch_cap)
@@ -31,11 +90,20 @@ CandidateMiner::mine(const trace::Trace &trace, uint64_t max_conditionals)
     panicIf(mined_, "CandidateMiner::mine called twice");
     mined_ = true;
 
+    const trace::SoABlocks &soa = trace.soa();
+    const uint32_t *static_index = soa.staticIndex();
+    table_.resize(soa.staticCount());
+    byPc_.reserve(soa.staticCount());
+    for (uint32_t i = 0; i < soa.staticCount(); ++i)
+        byPc_.emplace_back(soa.staticPcs()[i], i);
+    std::sort(byPc_.begin(), byPc_.end());
+
     HistoryWindow window(depth_);
     std::vector<TagState> collected;
     uint64_t seen = 0;
 
-    for (const auto &rec : trace.records()) {
+    for (size_t r = 0; r < soa.size(); ++r) {
+        trace::BranchRecord rec = soa.recordAt(r);
         if (!rec.isConditional()) {
             window.push(rec);
             continue;
@@ -45,21 +113,24 @@ CandidateMiner::mine(const trace::Trace &trace, uint64_t max_conditionals)
         ++seen;
 
         window.collect(collected);
-        BranchCandidates &bc = table_[rec.pc];
+        BranchCandidates &bc = table_[static_index[r]];
         if (rec.taken)
             ++bc.execsTaken;
         else
             ++bc.execsNotTaken;
+        unsigned outcome = rec.taken ? 1 : 0;
         for (const TagState &ts : collected) {
-            auto it = bc.tags.find(ts.tag);
-            if (it == bc.tags.end()) {
+            if (ts.tag.packed == ContingencyTable::kEmpty)
+                continue;
+            Contingency *counts = bc.tags.find(ts.tag.packed);
+            if (counts == nullptr) {
                 if (bc.tags.size() >= perBranchCap_) {
                     bc.capped = true;
                     continue;
                 }
-                it = bc.tags.emplace(ts.tag, Contingency{}).first;
+                counts = &bc.tags.insert(ts.tag.packed);
             }
-            ++it->second.present[ts.taken ? 1 : 0][rec.taken ? 1 : 0];
+            ++counts->present[ts.taken ? 1 : 0][outcome];
         }
         window.push(rec);
     }
@@ -102,34 +173,40 @@ std::vector<ScoredCandidate>
 CandidateMiner::topCandidates(uint64_t pc, unsigned k) const
 {
     std::vector<ScoredCandidate> scored;
-    auto it = table_.find(pc);
-    if (it == table_.end())
+    const BranchCandidates *bc = branch(pc);
+    if (bc == nullptr)
         return scored;
-    const BranchCandidates &bc = it->second;
 
-    scored.reserve(bc.tags.size());
-    // copra-lint: allow(unordered-iter) -- collected then sorted with a deterministic tie-break
-    for (const auto &[tag, contingency] : bc.tags)
-        scored.push_back({tag, informationGain(bc, contingency)});
+    scored.reserve(bc->tags.size());
+    bc->tags.forEach([&](Tag tag, const Contingency &contingency) {
+        scored.push_back({tag, informationGain(*bc, contingency)});
+    });
 
     // Deterministic order: gain descending, then packed tag ascending so
-    // equal-gain candidates do not depend on hash iteration order.
-    std::sort(scored.begin(), scored.end(),
-              [](const ScoredCandidate &a, const ScoredCandidate &b) {
-                  if (a.gain != b.gain)
-                      return a.gain > b.gain;
-                  return a.tag.packed < b.tag.packed;
-              });
-    if (scored.size() > k)
-        scored.resize(k);
+    // equal-gain candidates do not depend on the table's slot order.
+    // Packed tags are unique, so the order is total and the first k
+    // elements do not depend on how the rest are arranged.
+    auto better = [](const ScoredCandidate &a, const ScoredCandidate &b) {
+        if (a.gain != b.gain)
+            return a.gain > b.gain;
+        return a.tag.packed < b.tag.packed;
+    };
+    size_t keep = std::min<size_t>(k, scored.size());
+    std::partial_sort(scored.begin(), scored.begin() + keep, scored.end(),
+                      better);
+    scored.resize(keep);
     return scored;
 }
 
 const BranchCandidates *
 CandidateMiner::branch(uint64_t pc) const
 {
-    auto it = table_.find(pc);
-    return it == table_.end() ? nullptr : &it->second;
+    auto it = std::lower_bound(
+        byPc_.begin(), byPc_.end(), std::pair<uint64_t, uint32_t>{pc, 0});
+    if (it == byPc_.end() || it->first != pc)
+        return nullptr;
+    const BranchCandidates &bc = table_[it->second];
+    return bc.execs() == 0 ? nullptr : &bc;
 }
 
 } // namespace copra::core

@@ -10,7 +10,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/tagging.hpp"
@@ -40,8 +40,57 @@ struct ScoredCandidate
 };
 
 /**
+ * One branch's contingencies keyed by Tag::packed: a flat
+ * open-addressing table (linear probing, power-of-two size, load kept
+ * at or below 0.75). The slot array is the whole store; the packed tag
+ * with every bit set marks an empty slot (that tag would need a 55-bit
+ * pc of all ones and is never stored).
+ */
+class ContingencyTable
+{
+  public:
+    /** One slot: a packed tag and its counts. */
+    struct Slot
+    {
+        uint64_t packed;
+        Contingency counts;
+    };
+
+    /** Packed value of an empty slot. */
+    static constexpr uint64_t kEmpty = ~uint64_t{0};
+
+    /** Distinct tags stored. */
+    size_t size() const noexcept { return size_; }
+
+    /** Counts of @p tag, or nullptr when it is absent. */
+    Contingency *find(uint64_t packed) noexcept;
+
+    /** Counts of @p tag, inserted zeroed when absent. */
+    Contingency &insert(uint64_t packed);
+
+    /** Calls fn(Tag, const Contingency &) for every stored tag. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (const Slot &slot : slots_)
+            if (slot.packed != kEmpty) {
+                Tag tag;
+                tag.packed = slot.packed;
+                fn(tag, slot.counts);
+            }
+    }
+
+  private:
+    void grow();
+
+    std::vector<Slot> slots_;
+    size_t size_ = 0;
+};
+
+/**
  * Per-static-branch candidate statistics accumulated during mining.
- * The per-branch tag map is capped to bound memory on very branchy
+ * The per-branch tag table is capped to bound memory on very branchy
  * workloads; once the cap is hit, new tags are ignored (existing tags
  * keep accumulating) and `capped` is set.
  */
@@ -50,7 +99,7 @@ struct BranchCandidates
     uint64_t execsTaken = 0;
     uint64_t execsNotTaken = 0;
     bool capped = false;
-    std::unordered_map<Tag, Contingency> tags;
+    ContingencyTable tags;
 
     uint64_t execs() const { return execsTaken + execsNotTaken; }
 };
@@ -59,6 +108,11 @@ struct BranchCandidates
  * Mining pass over a trace. Tracks an n-deep HistoryWindow and, for each
  * dynamic conditional branch, charges every tagged instance in the
  * window against the branch's outcome.
+ *
+ * Storage and cost: branches are addressed by the trace's dense static
+ * index (trace::SoABlocks::staticIndex()), each holding one flat
+ * ContingencyTable, so a dynamic branch costs one O(n) window collect
+ * and at most 2n probes into one table.
  */
 class CandidateMiner
 {
@@ -76,21 +130,15 @@ class CandidateMiner
     void mine(const trace::Trace &trace, uint64_t max_conditionals = 0);
 
     /**
-     * The top @p k candidates for @p pc by information gain, best first.
-     * Fewer than k are returned when the branch has fewer distinct
-     * correlated instances.
+     * The top @p k candidates for @p pc by information gain, best first
+     * (ties broken by ascending packed tag). Fewer than k are returned
+     * when the branch has fewer distinct correlated instances.
      */
     std::vector<ScoredCandidate> topCandidates(uint64_t pc,
                                                unsigned k) const;
 
     /** Mined statistics for @p pc (nullptr if the branch never ran). */
     const BranchCandidates *branch(uint64_t pc) const;
-
-    /** All mined branches. */
-    const std::unordered_map<uint64_t, BranchCandidates> &branches() const
-    {
-        return table_;
-    }
 
     /**
      * Information gain of a candidate's 3-valued state about the branch
@@ -103,7 +151,8 @@ class CandidateMiner
     unsigned depth_;
     size_t perBranchCap_;
     bool mined_ = false;
-    std::unordered_map<uint64_t, BranchCandidates> table_;
+    std::vector<BranchCandidates> table_; // by dense static index
+    std::vector<std::pair<uint64_t, uint32_t>> byPc_; // (pc, index), sorted
 };
 
 } // namespace copra::core

@@ -21,6 +21,24 @@ stateBits(uint32_t row, unsigned i)
     return (row >> (2 * i)) & 0x3u;
 }
 
+/**
+ * Predict with a 2-bit counter, then train it on @p taken, as Counter2
+ * does. Returns 1 when the prediction was correct.
+ */
+inline unsigned
+train(uint8_t &counter, bool taken)
+{
+    bool predicted = counter >= 2;
+    if (taken) {
+        if (counter < 3)
+            ++counter;
+    } else {
+        if (counter > 0)
+            --counter;
+    }
+    return predicted == taken ? 1u : 0u;
+}
+
 } // namespace
 
 SelectiveOracle::SelectiveOracle(const trace::Trace &trace,
@@ -44,59 +62,74 @@ void
 SelectiveOracle::record(const trace::Trace &trace,
                         const CandidateMiner &miner)
 {
+    const trace::SoABlocks &soa = trace.soa();
+    const uint32_t *static_index = soa.staticIndex();
+    const uint8_t *kind = soa.kind();
+    constexpr auto conditional =
+        static_cast<uint8_t>(trace::BranchKind::Conditional);
+    data_.resize(soa.staticCount());
+
+    // Each branch's rows sit contiguously in rows_: count them first.
+    for (size_t r = 0; r < soa.size(); ++r)
+        if (kind[r] == conditional)
+            ++data_[static_index[r]].rowCount;
+
+    size_t offset = 0;
+    for (size_t b = 0; b < data_.size(); ++b) {
+        BranchData &data = data_[b];
+        data.firstRow = offset;
+        offset += data.rowCount;
+        if (data.rowCount == 0)
+            continue;
+        data.rowCount = 0; // refilled below
+        data.selection.pc = soa.staticPcs()[b];
+        // Over-fetch so a method filter still fills the pool.
+        for (const ScoredCandidate &cand : miner.topCandidates(
+                 data.selection.pc, 2 * config_.candidatePool)) {
+            bool is_occurrence = cand.tag.method() == TagMethod::Occurrence;
+            if (config_.tagFilter ==
+                    OracleConfig::TagFilter::OccurrenceOnly &&
+                !is_occurrence)
+                continue;
+            if (config_.tagFilter == OracleConfig::TagFilter::BackwardOnly &&
+                is_occurrence)
+                continue;
+            data.candidates.push_back(cand.tag);
+            if (data.candidates.size() >= config_.candidatePool)
+                break;
+        }
+        data.matcher = TagMatcher(data.candidates);
+    }
+    rows_.resize(offset);
+
     HistoryWindow window(config_.historyDepth);
     std::vector<TagState> collected;
-
-    for (const auto &rec : trace.records()) {
+    for (size_t r = 0; r < soa.size(); ++r) {
+        trace::BranchRecord rec = soa.recordAt(r);
         if (!rec.isConditional()) {
             window.push(rec);
             continue;
         }
 
-        auto data_it = data_.find(rec.pc);
-        if (data_it == data_.end()) {
-            BranchData fresh;
-            // Over-fetch so a method filter still fills the pool.
-            for (const ScoredCandidate &cand :
-                 miner.topCandidates(rec.pc, 2 * config_.candidatePool)) {
-                bool is_occurrence =
-                    cand.tag.method() == TagMethod::Occurrence;
-                if (config_.tagFilter ==
-                        OracleConfig::TagFilter::OccurrenceOnly &&
-                    !is_occurrence)
-                    continue;
-                if (config_.tagFilter ==
-                        OracleConfig::TagFilter::BackwardOnly &&
-                    is_occurrence)
-                    continue;
-                fresh.candidates.push_back(cand.tag);
-                if (fresh.candidates.size() >= config_.candidatePool)
-                    break;
-            }
-            data_it = data_.emplace(rec.pc, std::move(fresh)).first;
+        BranchData &data = data_[static_index[r]];
+        ++data.selection.execs;
+        uint32_t row = 0;
+        if (rec.taken) {
+            ++data.selection.taken;
+            row = 1u << kOutcomeBit;
         }
-        BranchData &data = data_it->second;
-
-        BranchSelection &sel = branches_[rec.pc];
-        sel.pc = rec.pc;
-        ++sel.execs;
-        if (rec.taken)
-            ++sel.taken;
-
-        window.collect(collected);
-        uint32_t row = rec.taken ? (1u << kOutcomeBit) : 0u;
-        for (unsigned i = 0; i < data.candidates.size(); ++i) {
-            TagOutcome state = stateOf(collected, data.candidates[i]);
-            row |= static_cast<uint32_t>(state) << (2 * i);
+        if (data.matcher.size() != 0) {
+            window.collect(collected);
+            row |= data.matcher.states(collected);
         }
-        data.rows.push_back(row);
+        rows_[data.firstRow + data.rowCount++] = row;
 
         window.push(rec);
     }
 }
 
 uint64_t
-SelectiveOracle::replayScore(const std::vector<uint32_t> &rows,
+SelectiveOracle::replayScore(std::span<const uint32_t> rows,
                              const std::vector<unsigned> &subset)
 {
     panicIf(subset.size() > 8, "replayScore subset too large");
@@ -113,46 +146,63 @@ SelectiveOracle::replayScore(const std::vector<uint32_t> &rows,
             pattern += stateBits(row, idx) * radix;
             radix *= 3;
         }
-        uint8_t &counter = counters[pattern];
         bool taken = (row >> kOutcomeBit) & 1u;
-        bool predicted = counter >= 2;
-        if (predicted == taken)
-            ++correct;
-        if (taken) {
-            if (counter < 3)
-                ++counter;
-        } else {
-            if (counter > 0)
-                --counter;
-        }
+        correct += train(counters[pattern], taken);
     }
     return correct;
 }
 
 void
 SelectiveOracle::selectGreedy(const BranchData &data,
+                              std::span<const uint32_t> rows,
                               BranchSelection &out) const
 {
     std::vector<unsigned> chosen;
-    uint64_t last_score = replayScore(data.rows, chosen);
+    uint64_t last_score = replayScore(rows, chosen);
 
+    // Every trial set is the chosen prefix plus one candidate c, so its
+    // pattern is the prefix's radix-3 pattern (kept per row) plus c's
+    // state times 3^|chosen|. One sweep over the rows trains one fresh
+    // counter table per remaining candidate, which scores all of them
+    // exactly as separate replayScore() calls would.
+    std::vector<uint8_t> prefix(rows.size(), 0);
+    uint32_t radix = 1;
     for (unsigned size = 1; size <= config_.maxSelect; ++size) {
-        unsigned best_candidate = UINT32_MAX;
-        uint64_t best_score = 0;
-        for (unsigned c = 0; c < data.candidates.size(); ++c) {
-            if (std::find(chosen.begin(), chosen.end(), c) != chosen.end())
-                continue;
-            std::vector<unsigned> trial = chosen;
-            trial.push_back(c);
-            uint64_t score = replayScore(data.rows, trial);
-            if (best_candidate == UINT32_MAX || score > best_score) {
-                best_candidate = c;
-                best_score = score;
+        std::array<unsigned, TagMatcher::kMaxTags> live;
+        unsigned live_count = 0;
+        for (unsigned c = 0; c < data.candidates.size(); ++c)
+            if (std::find(chosen.begin(), chosen.end(), c) == chosen.end())
+                live[live_count++] = c;
+
+        std::array<std::array<uint8_t, pow3(3)>, TagMatcher::kMaxTags>
+            counters;
+        std::array<uint64_t, TagMatcher::kMaxTags> score{};
+        for (unsigned l = 0; l < live_count; ++l)
+            std::fill(counters[l].begin(), counters[l].begin() + 3 * radix,
+                      1);
+        for (size_t r = 0; r < rows.size(); ++r) {
+            uint32_t row = rows[r];
+            bool taken = (row >> kOutcomeBit) & 1u;
+            for (unsigned l = 0; l < live_count; ++l) {
+                uint32_t pattern =
+                    prefix[r] + stateBits(row, live[l]) * radix;
+                score[l] += train(counters[l][pattern], taken);
             }
         }
-        if (best_candidate != UINT32_MAX) {
-            chosen.push_back(best_candidate);
-            last_score = best_score;
+
+        // First best in candidate order wins ties.
+        unsigned best = UINT32_MAX;
+        for (unsigned l = 0; l < live_count; ++l)
+            if (best == UINT32_MAX || score[l] > score[best])
+                best = l;
+        if (best != UINT32_MAX) {
+            unsigned picked = live[best];
+            chosen.push_back(picked);
+            last_score = score[best];
+            for (size_t r = 0; r < rows.size(); ++r)
+                prefix[r] = static_cast<uint8_t>(
+                    prefix[r] + stateBits(rows[r], picked) * radix);
+            radix *= 3;
         }
         // When candidates run out, larger sizes inherit the best smaller
         // set (there is nothing more to include in the history).
@@ -165,10 +215,11 @@ SelectiveOracle::selectGreedy(const BranchData &data,
 
 void
 SelectiveOracle::selectExhaustive(const BranchData &data,
+                                  std::span<const uint32_t> rows,
                                   BranchSelection &out) const
 {
     unsigned n = static_cast<unsigned>(data.candidates.size());
-    uint64_t empty_score = replayScore(data.rows, {});
+    uint64_t empty_score = replayScore(rows, {});
 
     for (unsigned size = 1; size <= config_.maxSelect; ++size) {
         uint64_t best_score = 0;
@@ -186,7 +237,7 @@ SelectiveOracle::selectExhaustive(const BranchData &data,
         for (unsigned i = 0; i < take; ++i)
             idx[i] = i;
         while (true) {
-            uint64_t score = replayScore(data.rows, idx);
+            uint64_t score = replayScore(rows, idx);
             if (!any || score > best_score) {
                 any = true;
                 best_score = score;
@@ -214,25 +265,33 @@ SelectiveOracle::selectExhaustive(const BranchData &data,
 void
 SelectiveOracle::select()
 {
-    // Greedy selection replays every candidate subset per static branch
-    // — the hottest analysis kernel. Branches are independent (each
-    // task reads immutable recorded rows and writes only its own
-    // BranchSelection), so partition them across the pool. Aggregates
-    // like accuracyPercent() iterate the map afterwards, so results do
-    // not depend on completion order.
-    std::vector<std::pair<const BranchData *, BranchSelection *>> work;
-    work.reserve(branches_.size());
-    // copra-lint: allow(unordered-iter) -- builds a keyed work list; aggregates re-iterate the map afterwards
-    for (auto &[pc, sel] : branches_)
-        work.emplace_back(&data_.at(pc), &sel);
+    // Selection replays candidate subsets per static branch — the
+    // hottest analysis kernel. Branches are independent (each task
+    // reads its own immutable rows and writes only its own
+    // BranchSelection), so partition them across the pool. The results
+    // map is filled afterwards in static-index order.
+    std::vector<BranchData *> work;
+    for (BranchData &data : data_)
+        if (data.rowCount != 0)
+            work.push_back(&data);
 
     parallelFor(globalPool(), work.size(), [&](size_t i) {
-        auto [data, sel] = work[i];
+        BranchData &data = *work[i];
+        std::span<const uint32_t> rows(rows_.data() + data.firstRow,
+                                       data.rowCount);
         if (config_.exhaustive)
-            selectExhaustive(*data, *sel);
+            selectExhaustive(data, rows, data.selection);
         else
-            selectGreedy(*data, *sel);
+            selectGreedy(data, rows, data.selection);
     });
+
+    branches_.reserve(work.size());
+    for (BranchData *data : work)
+        branches_.emplace(data->selection.pc, std::move(data->selection));
+    data_.clear();
+    data_.shrink_to_fit();
+    rows_.clear();
+    rows_.shrink_to_fit();
 }
 
 const BranchSelection *

@@ -17,6 +17,13 @@
  *     of the selective predictor, scored by replaying the recorded
  *     states through a fresh 3^m-entry 2-bit-counter table.
  *
+ * Cost: O(n) per dynamic branch in each of the mine and record passes
+ * (an incremental HistoryWindow, one flat tag table per branch, one
+ * TagMatcher probe per collected tag), and greedy selection scores all
+ * remaining candidates of a size in one sweep over the branch's rows.
+ * Per-branch state lives in vectors addressed by the trace's dense
+ * static index; the pc-keyed results map is built once at the end.
+ *
  * Greedy-over-top-K is an approximation of the (unspecified) paper
  * oracle; an exhaustive subset search is available for ablation.
  */
@@ -25,6 +32,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -136,24 +144,31 @@ class SelectiveOracle
      * @param rows Packed rows (2 bits per candidate, outcome in bit 31).
      * @param subset Candidate indices (into the 2-bit fields) to use.
      */
-    static uint64_t replayScore(const std::vector<uint32_t> &rows,
+    static uint64_t replayScore(std::span<const uint32_t> rows,
                                 const std::vector<unsigned> &subset);
 
   private:
+    /** One static conditional branch, by dense static index. */
     struct BranchData
     {
-        std::vector<Tag> candidates;      // at most K
-        std::vector<uint32_t> rows;       // packed states + outcome
+        std::vector<Tag> candidates; // at most K
+        TagMatcher matcher;          // over candidates
+        size_t firstRow = 0;         // its rows in rows_
+        size_t rowCount = 0;
+        BranchSelection selection;
     };
 
     void record(const trace::Trace &trace, const CandidateMiner &miner);
     void select();
-    void selectGreedy(const BranchData &data, BranchSelection &out) const;
+    void selectGreedy(const BranchData &data, std::span<const uint32_t> rows,
+                      BranchSelection &out) const;
     void selectExhaustive(const BranchData &data,
+                          std::span<const uint32_t> rows,
                           BranchSelection &out) const;
 
     OracleConfig config_;
-    std::unordered_map<uint64_t, BranchData> data_;
+    std::vector<BranchData> data_;
+    std::vector<uint32_t> rows_; // packed states + outcome, by branch
     std::unordered_map<uint64_t, BranchSelection> branches_;
 };
 

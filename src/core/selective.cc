@@ -1,16 +1,60 @@
 #include "core/selective.hpp"
 
+#include <bit>
+
 #include "util/logging.hpp"
 
 namespace copra::core {
 
-TagOutcome
-stateOf(const std::vector<TagState> &collected, const Tag &tag) noexcept
+namespace {
+
+/** Fibonacci hash of a packed tag onto the matcher's slots. */
+inline unsigned
+matcherSlot(uint64_t packed, unsigned bits) noexcept
 {
-    for (const TagState &ts : collected)
-        if (ts.tag == tag)
-            return ts.taken ? TagOutcome::Taken : TagOutcome::NotTaken;
-    return TagOutcome::NotInPath;
+    return static_cast<unsigned>((packed * 0x9e3779b97f4a7c15ull) >>
+                                 (64 - bits));
+}
+
+} // namespace
+
+TagMatcher::TagMatcher(const std::vector<Tag> &tags)
+    : count_(static_cast<unsigned>(tags.size()))
+{
+    panicIf(tags.size() > kMaxTags, "tag matcher holds at most 15 tags");
+    constexpr unsigned mask = (1u << kBits) - 1;
+    for (unsigned i = 0; i < count_; ++i) {
+        uint64_t packed = tags[i].packed;
+        unsigned slot = matcherSlot(packed, kBits);
+        while (slots_[slot].fields != 0 && slots_[slot].packed != packed)
+            slot = (slot + 1) & mask;
+        slots_[slot].packed = packed;
+        slots_[slot].fields |= static_cast<uint16_t>(1u << i);
+    }
+}
+
+uint32_t
+TagMatcher::states(const std::vector<TagState> &collected) const noexcept
+{
+    constexpr unsigned mask = (1u << kBits) - 1;
+    uint32_t row = 0;
+    unsigned seen = 0; // fields already set: the first match wins
+    for (const TagState &ts : collected) {
+        unsigned slot = matcherSlot(ts.tag.packed, kBits);
+        while (slots_[slot].fields != 0) {
+            if (slots_[slot].packed == ts.tag.packed) {
+                unsigned fields = slots_[slot].fields & ~seen;
+                seen |= fields;
+                uint32_t state = static_cast<uint32_t>(
+                    ts.taken ? TagOutcome::Taken : TagOutcome::NotTaken);
+                for (; fields != 0; fields &= fields - 1)
+                    row |= state << (2 * std::countr_zero(fields));
+                break;
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+    return row;
 }
 
 SelectiveTable::SelectiveTable(unsigned arity)
@@ -49,40 +93,37 @@ SelectiveTable::update(uint32_t pattern, bool taken) noexcept
 SelectivePredictor::SelectivePredictor(
     std::unordered_map<uint64_t, std::vector<Tag>> selections,
     unsigned depth)
-    : selections_(std::move(selections)), depth_(depth), window_(depth)
+    : depth_(depth), window_(depth)
 {
-    // copra-lint: allow(unordered-iter) -- validation-only pass; order cannot affect results
-    for (const auto &[pc, tags] : selections_) {
+    // copra-lint: allow(unordered-iter) -- per-key transform into a keyed container; no cross-key order dependence
+    for (const auto &[pc, tags] : selections) {
         panicIf(tags.empty() || tags.size() > 8,
                 "selective predictor selections must have 1..8 tags");
+        selections_.emplace(pc, TagMatcher(tags));
     }
 }
 
 uint32_t
-SelectivePredictor::currentPattern(uint64_t pc) noexcept
+SelectivePredictor::currentPattern(const TagMatcher &matcher) noexcept
 {
-    auto sel = selections_.find(pc);
-    if (sel == selections_.end())
-        return 0; // degenerate m = 0: single counter
     window_.collect(scratch_);
-    TagOutcome states[8];
-    unsigned arity = static_cast<unsigned>(sel->second.size());
-    for (unsigned i = 0; i < arity; ++i)
-        states[i] = stateOf(scratch_, sel->second[i]);
-    return SelectiveTable::patternOf(states, arity);
+    uint32_t states = matcher.states(scratch_);
+    TagOutcome digits[8];
+    for (unsigned i = 0; i < matcher.size(); ++i)
+        digits[i] = static_cast<TagOutcome>((states >> (2 * i)) & 0x3u);
+    return SelectiveTable::patternOf(digits, matcher.size());
 }
 
 bool
 SelectivePredictor::predict(const trace::BranchRecord &br) noexcept
 {
     auto sel = selections_.find(br.pc);
-    unsigned arity = sel == selections_.end()
-        ? 1 : static_cast<unsigned>(sel->second.size());
+    unsigned arity = sel == selections_.end() ? 1 : sel->second.size();
     auto table = tables_.find(br.pc);
     if (table == tables_.end())
         return Counter2{}.taken();
     uint32_t pattern = sel == selections_.end()
-        ? 0 : currentPattern(br.pc);
+        ? 0 : currentPattern(sel->second);
     // Tables are created on first update with the branch's arity; the
     // arity can never change afterwards.
     panicIf(table->second.arity() != arity,
@@ -94,10 +135,9 @@ void
 SelectivePredictor::update(const trace::BranchRecord &br, bool taken) noexcept
 {
     auto sel = selections_.find(br.pc);
-    unsigned arity = sel == selections_.end()
-        ? 1 : static_cast<unsigned>(sel->second.size());
+    unsigned arity = sel == selections_.end() ? 1 : sel->second.size();
     uint32_t pattern = sel == selections_.end()
-        ? 0 : currentPattern(br.pc);
+        ? 0 : currentPattern(sel->second);
     // The paper's hypothetical selective predictor is an analysis
     // instrument with unbounded per-pc tables; it sits outside the
     // perf roster and the runtime hot gates.

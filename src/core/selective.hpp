@@ -33,8 +33,44 @@ enum class TagOutcome : uint8_t
     Taken = 2,
 };
 
-/** Encode a collected window against one watched tag. */
-TagOutcome stateOf(const std::vector<TagState> &collected, const Tag &tag) noexcept;
+/**
+ * Encodes a collected window against a fixed list of up to 15 watched
+ * tags: watched tag i's TagOutcome lands in bits 2i..2i+1 of the
+ * result. A tag is Taken or NotTaken by its first occurrence in the
+ * window and NotInPath when absent. The tags sit in a 32-slot
+ * open-addressing table, so a window costs one probe per collected tag
+ * instead of a scan per watched tag. Both the oracle's recorded rows
+ * and SelectivePredictor's patterns come from here.
+ */
+class TagMatcher
+{
+  public:
+    /** Most watched tags a matcher holds (the 2-bit packing limit). */
+    static constexpr unsigned kMaxTags = 15;
+
+    TagMatcher() = default;
+
+    /** @param tags The watched tags, in field order (at most 15). */
+    explicit TagMatcher(const std::vector<Tag> &tags);
+
+    /** Number of watched tags. */
+    unsigned size() const noexcept { return count_; }
+
+    /** Packed 2-bit states of every watched tag in @p collected. */
+    uint32_t states(const std::vector<TagState> &collected) const noexcept;
+
+  private:
+    static constexpr unsigned kBits = 5;
+
+    struct Slot
+    {
+        uint64_t packed = 0;
+        uint16_t fields = 0; // bit i set: watched tag i (0 = empty slot)
+    };
+
+    std::array<Slot, 1u << kBits> slots_{};
+    unsigned count_ = 0;
+};
 
 /** 3^m for m in 0..8 (pattern table sizes). */
 constexpr uint32_t
@@ -100,9 +136,9 @@ class SelectivePredictor : public predictor::Predictor
     std::string name() const override;
 
   private:
-    uint32_t currentPattern(uint64_t pc) noexcept;
+    uint32_t currentPattern(const TagMatcher &matcher) noexcept;
 
-    std::unordered_map<uint64_t, std::vector<Tag>> selections_;
+    std::unordered_map<uint64_t, TagMatcher> selections_;
     unsigned depth_;
     HistoryWindow window_;
     std::unordered_map<uint64_t, SelectiveTable> tables_;

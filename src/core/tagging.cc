@@ -16,8 +16,19 @@ HistoryWindow::push(const trace::BranchRecord &rec) noexcept
 {
     switch (rec.kind) {
       case trace::BranchKind::Conditional:
-        ring_[head_] = {rec.pc, backwardEpoch_, rec.taken};
-        head_ = (head_ + 1) % depth_;
+        // Every held entry is older than the one entering: one more
+        // newer entry shares its pc, and when that entry also ran in
+        // the current iteration it carries the same method-B tag. The
+        // pass covers the whole ring; slots not yet filled are
+        // overwritten before they are read.
+        for (Entry &entry : ring_) {
+            if (entry.pc == rec.pc) {
+                ++entry.occurrence;
+                entry.shadowed |= entry.epoch == backwardEpoch_;
+            }
+        }
+        ring_[head_] = {rec.pc, backwardEpoch_, 0, false, rec.taken};
+        head_ = head_ + 1 == depth_ ? 0 : head_ + 1;
         if (count_ < depth_)
             ++count_;
         if (rec.taken && rec.isBackward())
@@ -38,51 +49,30 @@ void
 HistoryWindow::collect(std::vector<TagState> &out) const noexcept
 {
     out.clear();
-    if (count_ == 0)
-        return;
     // Analysis-side tagging window for the selective predictor:
     // capacity stabilizes after the first few collect() calls and the
     // path is outside the runtime hot gates.
     // copra-lint: allow(hot-alloc) -- analysis-side, capacity stabilizes
     out.reserve(2 * count_);
 
-    // Newest-first walk of the ring. For method A, the occurrence index
-    // of an entry is how many newer entries share its pc. For method B,
-    // the instance number is the backward-transfer count since the entry
-    // executed; only the newest entry per (pc, num) is reported.
+    // Newest-first walk of the ring. Method A's instance number is the
+    // entry's occurrence count; method B's is the backward-transfer
+    // count since the entry executed, reported for the newest entry
+    // per (pc, num) only, and only while it fits the 8-bit field.
+    unsigned slot = head_;
     for (unsigned i = 0; i < count_; ++i) {
-        unsigned slot = (head_ + depth_ - 1 - i) % depth_;
+        slot = slot == 0 ? depth_ - 1 : slot - 1;
         const Entry &entry = ring_[slot];
-
-        unsigned occurrence = 0;
-        for (unsigned j = 0; j < i; ++j) {
-            unsigned newer = (head_ + depth_ - 1 - j) % depth_;
-            if (ring_[newer].pc == entry.pc)
-                ++occurrence;
-        }
-        if (occurrence <= 0xff) {
-            // copra-lint: allow(hot-alloc) -- within the reserve() above
-            out.push_back({Tag(entry.pc, TagMethod::Occurrence,
-                               static_cast<uint8_t>(occurrence)),
-                           entry.taken});
-        }
-
+        // copra-lint: allow(hot-alloc) -- within the reserve() above
+        out.push_back({Tag(entry.pc, TagMethod::Occurrence,
+                           static_cast<uint8_t>(entry.occurrence)),
+                       entry.taken});
         uint64_t back = backwardEpoch_ - entry.epoch;
-        if (back <= 0xff) {
-            Tag tag_b(entry.pc, TagMethod::BackwardCount,
-                      static_cast<uint8_t>(back));
-            // Deduplicate method-B tags, keeping the most recent (the
-            // first produced in this newest-first walk).
-            bool duplicate = false;
-            for (const TagState &prior : out) {
-                if (prior.tag == tag_b) {
-                    duplicate = true;
-                    break;
-                }
-            }
-            if (!duplicate)
-                // copra-lint: allow(hot-alloc) -- within the reserve() above
-                out.push_back({tag_b, entry.taken});
+        if (back <= 0xff && !entry.shadowed) {
+            // copra-lint: allow(hot-alloc) -- within the reserve() above
+            out.push_back({Tag(entry.pc, TagMethod::BackwardCount,
+                               static_cast<uint8_t>(back)),
+                           entry.taken});
         }
     }
 }

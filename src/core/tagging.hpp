@@ -37,7 +37,8 @@ enum class TagMethod : uint8_t
 /**
  * A packed tag identifying one dynamic instance of a prior branch
  * relative to the current branch: pc, method, and instance number.
- * Layout: pc << 9 | method << 8 | num, so tags order and hash cheaply.
+ * Layout: pc << 9 | method << 8 | num, so tags order and hash cheaply
+ * (the top 9 bits of the pc are dropped).
  */
 struct Tag
 {
@@ -75,6 +76,13 @@ struct TagState
  * bookkeeping both tagging methods need. Feed it every trace record in
  * order; before consuming a conditional branch, call collect() to
  * enumerate the tagged instances currently in the path.
+ *
+ * Cost: each entry carries its method-A occurrence number and its
+ * method-B "a newer entry has the same tag" flag. A tag depends only on
+ * the entries newer than it, and eviction always removes the oldest
+ * entry, so both values change only when a conditional enters; push()
+ * updates them in one fixed-length O(n) compare pass over the ring, and
+ * collect() is an O(n) walk that only emits tags.
  */
 class HistoryWindow
 {
@@ -92,6 +100,7 @@ class HistoryWindow
      * Enumerate the tagged instances of the branches in the path,
      * newest first, both tagging methods per entry (method B entries
      * deduplicated keeping the most recent). Clears and fills @p out.
+     * No tag appears twice.
      */
     void collect(std::vector<TagState> &out) const noexcept;
 
@@ -113,7 +122,10 @@ class HistoryWindow
     struct Entry
     {
         uint64_t pc;
-        uint64_t epoch; // backwardEpoch_ when this branch executed
+        uint64_t epoch;      // backwardEpoch_ when this branch executed
+        uint32_t occurrence; // newer entries with the same pc (method A)
+        bool shadowed;       // a newer entry has the same pc and epoch,
+                             // so the same method-B tag (deduplicated)
         bool taken;
     };
 
@@ -125,19 +137,3 @@ class HistoryWindow
 };
 
 } // namespace copra::core
-
-/** Hash support so Tag can key unordered containers. */
-template <>
-struct std::hash<copra::core::Tag>
-{
-    size_t
-    operator()(const copra::core::Tag &tag) const noexcept
-    {
-        // splitmix64 finalizer inlined to avoid pulling in util/rng.hpp.
-        uint64_t z = tag.packed + 0x9e3779b97f4a7c15ull;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        return static_cast<size_t>(z ^ (z >> 31));
-    }
-};
-

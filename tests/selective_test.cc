@@ -26,18 +26,73 @@ TEST(Pow3, Values)
     EXPECT_EQ(pow3(8), 6561u);
 }
 
-TEST(StateOf, ThreeValuedEncoding)
+/** Watched tag @p i's field of a TagMatcher result. */
+TagOutcome
+field(uint32_t states, unsigned i)
+{
+    return static_cast<TagOutcome>((states >> (2 * i)) & 0x3u);
+}
+
+TEST(TagMatcher, ThreeValuedEncoding)
 {
     std::vector<TagState> collected = {
         {Tag(0x100, TagMethod::Occurrence, 0), true},
         {Tag(0x104, TagMethod::Occurrence, 0), false},
     };
-    EXPECT_EQ(stateOf(collected, Tag(0x100, TagMethod::Occurrence, 0)),
-              TagOutcome::Taken);
-    EXPECT_EQ(stateOf(collected, Tag(0x104, TagMethod::Occurrence, 0)),
-              TagOutcome::NotTaken);
-    EXPECT_EQ(stateOf(collected, Tag(0x999, TagMethod::Occurrence, 0)),
-              TagOutcome::NotInPath);
+    TagMatcher matcher({Tag(0x100, TagMethod::Occurrence, 0),
+                        Tag(0x104, TagMethod::Occurrence, 0),
+                        Tag(0x999, TagMethod::Occurrence, 0)});
+    uint32_t states = matcher.states(collected);
+    EXPECT_EQ(field(states, 0), TagOutcome::Taken);
+    EXPECT_EQ(field(states, 1), TagOutcome::NotTaken);
+    EXPECT_EQ(field(states, 2), TagOutcome::NotInPath);
+    EXPECT_EQ(matcher.size(), 3u);
+}
+
+TEST(TagMatcher, FirstMatchWinsAndRepeatedTagsShareAState)
+{
+    Tag tag(0x100, TagMethod::BackwardCount, 2);
+    std::vector<TagState> collected = {{tag, false}, {tag, true}};
+    TagMatcher matcher({tag, Tag(0x104, TagMethod::Occurrence, 0), tag});
+    uint32_t states = matcher.states(collected);
+    EXPECT_EQ(field(states, 0), TagOutcome::NotTaken);
+    EXPECT_EQ(field(states, 1), TagOutcome::NotInPath);
+    EXPECT_EQ(field(states, 2), TagOutcome::NotTaken);
+}
+
+TEST(TagMatcher, AgreesWithALinearScan)
+{
+    // Tags drawn from a small space so watched sets collide in the
+    // matcher's slots and windows repeat tags.
+    Rng rng(31);
+    auto random_tag = [&] {
+        return Tag(0x100 + 4 * rng.index(8),
+                   rng.bernoulli(0.5) ? TagMethod::Occurrence
+                                      : TagMethod::BackwardCount,
+                   static_cast<uint8_t>(rng.index(4)));
+    };
+    for (int trial = 0; trial < 2000; ++trial) {
+        std::vector<Tag> watched(1 + rng.index(TagMatcher::kMaxTags));
+        for (Tag &tag : watched)
+            tag = random_tag();
+        std::vector<TagState> collected(rng.index(40));
+        for (TagState &ts : collected)
+            ts = {random_tag(), rng.bernoulli(0.5)};
+
+        uint32_t states = TagMatcher(watched).states(collected);
+        for (unsigned i = 0; i < watched.size(); ++i) {
+            TagOutcome want = TagOutcome::NotInPath;
+            for (const TagState &ts : collected) {
+                if (ts.tag == watched[i]) {
+                    want = ts.taken ? TagOutcome::Taken
+                                    : TagOutcome::NotTaken;
+                    break;
+                }
+            }
+            ASSERT_EQ(field(states, i), want)
+                << "trial " << trial << " tag " << i;
+        }
+    }
 }
 
 TEST(SelectiveTable, PatternIsRadixThree)

@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "core/tagging.hpp"
+#include "util/rng.hpp"
 
 namespace copra::core {
 namespace {
@@ -42,15 +43,6 @@ TEST(Tag, PackAndUnpack)
     Tag o(0x12345678, TagMethod::Occurrence, 37);
     EXPECT_NE(t, o);
     EXPECT_EQ(o.method(), TagMethod::Occurrence);
-}
-
-TEST(Tag, HashableAndDistinct)
-{
-    std::hash<Tag> h;
-    EXPECT_EQ(h(Tag(0x100, TagMethod::Occurrence, 0)),
-              h(Tag(0x100, TagMethod::Occurrence, 0)));
-    EXPECT_NE(h(Tag(0x100, TagMethod::Occurrence, 0)),
-              h(Tag(0x100, TagMethod::Occurrence, 1)));
 }
 
 TEST(HistoryWindow, OccurrenceNumberingCountsFromCurrent)
@@ -216,6 +208,180 @@ TEST(HistoryWindow, EpochOverflowPastWindowClampsTag)
     EXPECT_NE(find(collected, Tag(0xB0, TagMethod::Occurrence, 0)),
               nullptr);
 }
+
+/**
+ * Reference model of HistoryWindow: the direct O(n^2) formulation that
+ * recomputes every occurrence number and method-B duplicate on each
+ * collect(). The incremental window must produce the same ordered
+ * output after every record.
+ */
+class ReferenceWindow
+{
+  public:
+    explicit ReferenceWindow(unsigned depth) : depth_(depth), ring_(depth) {}
+
+    void
+    push(const BranchRecord &rec)
+    {
+        switch (rec.kind) {
+          case BranchKind::Conditional:
+            ring_[head_] = {rec.pc, backwardEpoch_, rec.taken};
+            head_ = (head_ + 1) % depth_;
+            if (count_ < depth_)
+                ++count_;
+            if (rec.taken && rec.isBackward())
+                ++backwardEpoch_;
+            break;
+          case BranchKind::Jump:
+            if (rec.isBackward())
+                ++backwardEpoch_;
+            break;
+          case BranchKind::Call:
+          case BranchKind::Return:
+            break;
+        }
+    }
+
+    void
+    collect(std::vector<TagState> &out) const
+    {
+        out.clear();
+        if (count_ == 0)
+            return;
+        for (unsigned i = 0; i < count_; ++i) {
+            unsigned slot = (head_ + depth_ - 1 - i) % depth_;
+            const Entry &entry = ring_[slot];
+
+            unsigned occurrence = 0;
+            for (unsigned j = 0; j < i; ++j) {
+                unsigned newer = (head_ + depth_ - 1 - j) % depth_;
+                if (ring_[newer].pc == entry.pc)
+                    ++occurrence;
+            }
+            if (occurrence <= 0xff) {
+                out.push_back({Tag(entry.pc, TagMethod::Occurrence,
+                                   static_cast<uint8_t>(occurrence)),
+                               entry.taken});
+            }
+
+            uint64_t back = backwardEpoch_ - entry.epoch;
+            if (back <= 0xff) {
+                Tag tag_b(entry.pc, TagMethod::BackwardCount,
+                          static_cast<uint8_t>(back));
+                bool duplicate = false;
+                for (const TagState &prior : out) {
+                    if (prior.tag == tag_b) {
+                        duplicate = true;
+                        break;
+                    }
+                }
+                if (!duplicate)
+                    out.push_back({tag_b, entry.taken});
+            }
+        }
+    }
+
+    void
+    clear()
+    {
+        count_ = 0;
+        head_ = 0;
+        backwardEpoch_ = 0;
+    }
+
+    unsigned size() const { return count_; }
+    uint64_t backwardEpoch() const { return backwardEpoch_; }
+
+  private:
+    struct Entry
+    {
+        uint64_t pc;
+        uint64_t epoch;
+        bool taken;
+    };
+
+    unsigned depth_;
+    unsigned count_ = 0;
+    unsigned head_ = 0;
+    uint64_t backwardEpoch_ = 0;
+    std::vector<Entry> ring_;
+};
+
+/**
+ * A random record with heavy pc reuse: conditionals from a handful of
+ * pcs with forward and backward targets (so not-taken backward branches
+ * occur), forward and backward jumps, calls and returns.
+ */
+BranchRecord
+randomRecord(Rng &rng)
+{
+    uint64_t pc = 0x1000 + 4 * rng.index(6);
+    uint64_t target = rng.bernoulli(0.4) ? pc - 0x80 : pc + 0x80;
+    double kind = rng.uniform();
+    if (kind < 0.75)
+        return {pc, target, BranchKind::Conditional, rng.bernoulli(0.5)};
+    if (kind < 0.87)
+        return {pc, target, BranchKind::Jump, true};
+    if (kind < 0.94)
+        return {pc, 0x100, BranchKind::Call, true};
+    return {pc, pc + 8, BranchKind::Return, true};
+}
+
+class WindowDifferential : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(WindowDifferential, CollectMatchesReferenceAfterEveryRecord)
+{
+    unsigned depth = GetParam();
+    HistoryWindow window(depth);
+    ReferenceWindow reference(depth);
+    std::vector<TagState> got;
+    std::vector<TagState> want;
+    Rng rng(0x7a6 + depth);
+    unsigned bursts = 0;
+    unsigned clears = 0;
+
+    for (unsigned step = 0; step < 20000; ++step) {
+        double event = rng.uniform();
+        if (event < 0.002) {
+            // An epoch gap past the 8-bit method-B clamp.
+            ++bursts;
+            uint64_t gap = 250 + rng.index(20);
+            for (uint64_t i = 0; i < gap; ++i) {
+                BranchRecord jump{0x3000, 0x2000, BranchKind::Jump, true};
+                window.push(jump);
+                reference.push(jump);
+            }
+        } else if (event < 0.003) {
+            ++clears;
+            window.clear();
+            reference.clear();
+        } else {
+            BranchRecord rec = randomRecord(rng);
+            window.push(rec);
+            reference.push(rec);
+        }
+
+        window.collect(got);
+        reference.collect(want);
+        ASSERT_EQ(got.size(), want.size()) << "step " << step;
+        for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].tag.packed, want[i].tag.packed)
+                << "step " << step << " position " << i;
+            ASSERT_EQ(got[i].taken, want[i].taken)
+                << "step " << step << " position " << i;
+        }
+        ASSERT_EQ(window.size(), reference.size());
+        ASSERT_EQ(window.backwardEpoch(), reference.backwardEpoch());
+    }
+    // The schedule above must actually exercise both rare events.
+    EXPECT_GT(bursts, 0u);
+    EXPECT_GT(clears, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Depths, WindowDifferential,
+                         ::testing::Values(1u, 2u, 3u, 8u, 16u, 32u, 64u));
 
 class WindowDepths : public ::testing::TestWithParam<unsigned>
 {
