@@ -18,46 +18,34 @@ entropyOf(double p)
     return -p * std::log2(p) - (1.0 - p) * std::log2(1.0 - p);
 }
 
-/** Fibonacci hash of a packed tag onto a 2^bits-slot table. */
-inline size_t
-slotOf(uint64_t packed, unsigned bits) noexcept
-{
-    return static_cast<size_t>((packed * 0x9e3779b97f4a7c15ull) >>
-                               (64 - bits));
-}
-
 } // namespace
 
-Contingency *
-ContingencyTable::find(uint64_t packed) noexcept
+size_t
+ContingencyTable::probe(uint64_t packed) const noexcept
 {
-    if (slots_.empty())
-        return nullptr;
     size_t mask = slots_.size() - 1;
-    unsigned bits = static_cast<unsigned>(std::countr_zero(slots_.size()));
-    for (size_t i = slotOf(packed, bits);; i = (i + 1) & mask) {
-        if (slots_[i].packed == packed)
-            return &slots_[i].counts;
-        if (slots_[i].packed == kEmpty)
-            return nullptr;
-    }
+    auto bits = static_cast<unsigned>(std::countr_zero(slots_.size()));
+    size_t i = static_cast<size_t>((packed * 0x9e3779b97f4a7c15ull) >>
+                                   (64 - bits));
+    while (slots_[i].packed != packed && slots_[i].packed != kEmpty)
+        i = (i + 1) & mask;
+    return i;
 }
 
-Contingency &
-ContingencyTable::insert(uint64_t packed)
+Contingency *
+ContingencyTable::findOrInsert(uint64_t packed, size_t cap)
 {
+    // Grow first so the load stays at or below 0.75 after an insert.
     if (4 * (size_ + 1) > 3 * slots_.size())
         grow();
-    size_t mask = slots_.size() - 1;
-    unsigned bits = static_cast<unsigned>(std::countr_zero(slots_.size()));
-    size_t i = slotOf(packed, bits);
-    while (slots_[i].packed != kEmpty && slots_[i].packed != packed)
-        i = (i + 1) & mask;
-    if (slots_[i].packed == kEmpty) {
-        slots_[i].packed = packed;
-        ++size_;
-    }
-    return slots_[i].counts;
+    Slot &slot = slots_[probe(packed)];
+    if (slot.packed == packed)
+        return &slot.counts;
+    if (size_ >= cap)
+        return nullptr;
+    slot.packed = packed;
+    ++size_;
+    return &slot.counts;
 }
 
 void
@@ -66,16 +54,9 @@ ContingencyTable::grow()
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(old.empty() ? 16 : 2 * old.size(),
                   Slot{kEmpty, Contingency{}});
-    size_t mask = slots_.size() - 1;
-    unsigned bits = static_cast<unsigned>(std::countr_zero(slots_.size()));
-    for (const Slot &slot : old) {
-        if (slot.packed == kEmpty)
-            continue;
-        size_t i = slotOf(slot.packed, bits);
-        while (slots_[i].packed != kEmpty)
-            i = (i + 1) & mask;
-        slots_[i] = slot;
-    }
+    for (const Slot &slot : old)
+        if (slot.packed != kEmpty)
+            slots_[probe(slot.packed)] = slot;
 }
 
 CandidateMiner::CandidateMiner(unsigned depth, size_t per_branch_cap)
@@ -122,15 +103,12 @@ CandidateMiner::mine(const trace::Trace &trace, uint64_t max_conditionals)
         for (const TagState &ts : collected) {
             if (ts.tag.packed == ContingencyTable::kEmpty)
                 continue;
-            Contingency *counts = bc.tags.find(ts.tag.packed);
-            if (counts == nullptr) {
-                if (bc.tags.size() >= perBranchCap_) {
-                    bc.capped = true;
-                    continue;
-                }
-                counts = &bc.tags.insert(ts.tag.packed);
-            }
-            ++counts->present[ts.taken ? 1 : 0][outcome];
+            Contingency *counts =
+                bc.tags.findOrInsert(ts.tag.packed, perBranchCap_);
+            if (counts == nullptr)
+                bc.capped = true;
+            else
+                ++counts->present[ts.taken ? 1 : 0][outcome];
         }
         window.push(rec);
     }

@@ -62,11 +62,11 @@ class ContingencyTable
     /** Distinct tags stored. */
     size_t size() const noexcept { return size_; }
 
-    /** Counts of @p tag, or nullptr when it is absent. */
-    Contingency *find(uint64_t packed) noexcept;
-
-    /** Counts of @p tag, inserted zeroed when absent. */
-    Contingency &insert(uint64_t packed);
+    /**
+     * Counts of the tag @p packed, inserted zeroed when absent and
+     * fewer than @p cap tags are stored; nullptr when absent at the cap.
+     */
+    Contingency *findOrInsert(uint64_t packed, size_t cap);
 
     /** Calls fn(Tag, const Contingency &) for every stored tag. */
     template <typename Fn>
@@ -82,6 +82,8 @@ class ContingencyTable
     }
 
   private:
+    /** The slot holding @p packed, or the empty slot where it goes. */
+    size_t probe(uint64_t packed) const noexcept;
     void grow();
 
     std::vector<Slot> slots_;

@@ -52,9 +52,13 @@ SelectiveOracle::SelectiveOracle(const trace::Trace &trace,
     fatalIf(config.historyDepth == 0 || config.historyDepth > 64,
             "oracle history depth must be in 1..64");
 
-    CandidateMiner miner(config.historyDepth, config.perBranchTagCap);
-    miner.mine(trace, config.mineConditionals);
-    record(trace, miner);
+    {
+        // The mined tag tables are done with once the pools are chosen;
+        // free them before selection.
+        CandidateMiner miner(config.historyDepth, config.perBranchTagCap);
+        miner.mine(trace, config.mineConditionals);
+        record(trace, miner);
+    }
     select();
 }
 
@@ -153,10 +157,10 @@ SelectiveOracle::replayScore(std::span<const uint32_t> rows,
 }
 
 void
-SelectiveOracle::selectGreedy(const BranchData &data,
-                              std::span<const uint32_t> rows,
-                              BranchSelection &out) const
+SelectiveOracle::selectGreedy(BranchData &data,
+                              std::span<const uint32_t> rows) const
 {
+    BranchSelection &out = data.selection;
     std::vector<unsigned> chosen;
     uint64_t last_score = replayScore(rows, chosen);
 
@@ -214,10 +218,10 @@ SelectiveOracle::selectGreedy(const BranchData &data,
 }
 
 void
-SelectiveOracle::selectExhaustive(const BranchData &data,
-                                  std::span<const uint32_t> rows,
-                                  BranchSelection &out) const
+SelectiveOracle::selectExhaustive(BranchData &data,
+                                  std::span<const uint32_t> rows) const
 {
+    BranchSelection &out = data.selection;
     unsigned n = static_cast<unsigned>(data.candidates.size());
     uint64_t empty_score = replayScore(rows, {});
 
@@ -280,18 +284,16 @@ SelectiveOracle::select()
         std::span<const uint32_t> rows(rows_.data() + data.firstRow,
                                        data.rowCount);
         if (config_.exhaustive)
-            selectExhaustive(data, rows, data.selection);
+            selectExhaustive(data, rows);
         else
-            selectGreedy(data, rows, data.selection);
+            selectGreedy(data, rows);
     });
 
     branches_.reserve(work.size());
     for (BranchData *data : work)
         branches_.emplace(data->selection.pc, std::move(data->selection));
-    data_.clear();
-    data_.shrink_to_fit();
-    rows_.clear();
-    rows_.shrink_to_fit();
+    data_ = {};
+    rows_ = {};
 }
 
 const BranchSelection *

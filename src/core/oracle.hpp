@@ -160,11 +160,10 @@ class SelectiveOracle
 
     void record(const trace::Trace &trace, const CandidateMiner &miner);
     void select();
-    void selectGreedy(const BranchData &data, std::span<const uint32_t> rows,
-                      BranchSelection &out) const;
-    void selectExhaustive(const BranchData &data,
-                          std::span<const uint32_t> rows,
-                          BranchSelection &out) const;
+    /** Fill data.selection from the branch's rows. */
+    void selectGreedy(BranchData &data, std::span<const uint32_t> rows) const;
+    void selectExhaustive(BranchData &data,
+                          std::span<const uint32_t> rows) const;
 
     OracleConfig config_;
     std::vector<BranchData> data_;
