@@ -25,8 +25,7 @@ ContingencyTable::probe(uint64_t packed) const noexcept
 {
     size_t mask = slots_.size() - 1;
     auto bits = static_cast<unsigned>(std::countr_zero(slots_.size()));
-    size_t i = static_cast<size_t>((packed * 0x9e3779b97f4a7c15ull) >>
-                                   (64 - bits));
+    size_t i = tagSlot(packed, bits);
     while (slots_[i].packed != packed && slots_[i].packed != kEmpty)
         i = (i + 1) & mask;
     return i;

@@ -6,26 +6,14 @@
 
 namespace copra::core {
 
-namespace {
-
-/** Fibonacci hash of a packed tag onto the matcher's slots. */
-inline unsigned
-matcherSlot(uint64_t packed, unsigned bits) noexcept
-{
-    return static_cast<unsigned>((packed * 0x9e3779b97f4a7c15ull) >>
-                                 (64 - bits));
-}
-
-} // namespace
-
 TagMatcher::TagMatcher(const std::vector<Tag> &tags)
     : count_(static_cast<unsigned>(tags.size()))
 {
     panicIf(tags.size() > kMaxTags, "tag matcher holds at most 15 tags");
-    constexpr unsigned mask = (1u << kBits) - 1;
+    constexpr size_t mask = (size_t{1} << kBits) - 1;
     for (unsigned i = 0; i < count_; ++i) {
         uint64_t packed = tags[i].packed;
-        unsigned slot = matcherSlot(packed, kBits);
+        size_t slot = tagSlot(packed, kBits);
         while (slots_[slot].fields != 0 && slots_[slot].packed != packed)
             slot = (slot + 1) & mask;
         slots_[slot].packed = packed;
@@ -36,11 +24,11 @@ TagMatcher::TagMatcher(const std::vector<Tag> &tags)
 uint32_t
 TagMatcher::states(const std::vector<TagState> &collected) const noexcept
 {
-    constexpr unsigned mask = (1u << kBits) - 1;
+    constexpr size_t mask = (size_t{1} << kBits) - 1;
     uint32_t row = 0;
     unsigned seen = 0; // fields already set: the first match wins
     for (const TagState &ts : collected) {
-        unsigned slot = matcherSlot(ts.tag.packed, kBits);
+        size_t slot = tagSlot(ts.tag.packed, kBits);
         while (slots_[slot].fields != 0) {
             if (slots_[slot].packed == ts.tag.packed) {
                 unsigned fields = slots_[slot].fields & ~seen;

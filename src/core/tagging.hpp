@@ -20,6 +20,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -63,6 +64,17 @@ struct Tag
         return packed == other.packed;
     }
 };
+
+/**
+ * Slot of a packed tag in a 2^@p bits-slot open-addressing table
+ * (Fibonacci hashing: the top bits of packed times 2^64/phi).
+ */
+constexpr size_t
+tagSlot(uint64_t packed, unsigned bits) noexcept
+{
+    return static_cast<size_t>((packed * 0x9e3779b97f4a7c15ull) >>
+                               (64 - bits));
+}
 
 /** A tagged instance observed in the history, with its outcome. */
 struct TagState
