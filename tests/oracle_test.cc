@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 #include "core/oracle.hpp"
@@ -346,10 +347,24 @@ oracleDigest(const trace::Trace &trace, const OracleConfig &config)
     return digest.hash;
 }
 
-/** The suite members the digests cover. */
-const char *const kDigestMembers[] = {"gcc", "go", "perl", "xlisp"};
-
 /**
+ * Require the digest of each of gcc, go, perl and xlisp at @p branches
+ * under @p config to equal @p expected (in that order).
+ */
+void
+expectPinned(const OracleConfig &config, uint64_t branches,
+             const std::array<uint64_t, 4> &expected)
+{
+    const char *const members[] = {"gcc", "go", "perl", "xlisp"};
+    for (size_t i = 0; i < 4; ++i) {
+        auto trace = workload::makeBenchmarkTrace(members[i], branches);
+        uint64_t got = oracleDigest(trace, config);
+        EXPECT_EQ(got, expected[i])
+            << members[i] << std::hex << " 0x" << got;
+    }
+}
+
+/*
  * Pinned oracle digests. Any change to the window, the miner, the
  * recorder or the selector that alters a single per-branch count, tag
  * choice, tie-break or candidate gain changes these; a speed-only
@@ -357,60 +372,36 @@ const char *const kDigestMembers[] = {"gcc", "go", "perl", "xlisp"};
  */
 TEST(OracleDigest, DefaultConfigIsPinned)
 {
-    const uint64_t expected[] = {
-        0x4f1e52a69b29d7beull, 0xcc9aa6481cabaad9ull,
-        0xc68acc412fbc474dull, 0x04cd54233b6af86dull};
-    for (size_t i = 0; i < 4; ++i) {
-        auto trace = workload::makeBenchmarkTrace(kDigestMembers[i], 20000);
-        uint64_t got = oracleDigest(trace, OracleConfig{});
-        EXPECT_EQ(got, expected[i])
-            << kDigestMembers[i] << std::hex << " 0x" << got;
-    }
+    expectPinned(OracleConfig{}, 20000,
+                 {0x4f1e52a69b29d7beull, 0xcc9aa6481cabaad9ull,
+                  0xc68acc412fbc474dull, 0x04cd54233b6af86dull});
 }
 
 TEST(OracleDigest, MinedPrefixIsPinned)
 {
-    const uint64_t expected[] = {
-        0x828742ab9c10e22cull, 0x99e37eff6fbb46f4ull,
-        0x6291ba1c6b98fbfcull, 0xc037896c7ab4affbull};
     OracleConfig config;
     config.mineConditionals = 5000;
-    for (size_t i = 0; i < 4; ++i) {
-        auto trace = workload::makeBenchmarkTrace(kDigestMembers[i], 20000);
-        uint64_t got = oracleDigest(trace, config);
-        EXPECT_EQ(got, expected[i])
-            << kDigestMembers[i] << std::hex << " 0x" << got;
-    }
+    expectPinned(config, 20000,
+                 {0x828742ab9c10e22cull, 0x99e37eff6fbb46f4ull,
+                  0x6291ba1c6b98fbfcull, 0xc037896c7ab4affbull});
 }
 
 TEST(OracleDigest, BackwardOnlyFilterIsPinned)
 {
-    const uint64_t expected[] = {
-        0x8a78434ae6ccb155ull, 0xbb47080408d5d7d5ull,
-        0xd9fb9c6b49e12f84ull, 0x255210daba4505b8ull};
     OracleConfig config;
     config.tagFilter = OracleConfig::TagFilter::BackwardOnly;
-    for (size_t i = 0; i < 4; ++i) {
-        auto trace = workload::makeBenchmarkTrace(kDigestMembers[i], 20000);
-        uint64_t got = oracleDigest(trace, config);
-        EXPECT_EQ(got, expected[i])
-            << kDigestMembers[i] << std::hex << " 0x" << got;
-    }
+    expectPinned(config, 20000,
+                 {0x8a78434ae6ccb155ull, 0xbb47080408d5d7d5ull,
+                  0xd9fb9c6b49e12f84ull, 0x255210daba4505b8ull});
 }
 
 TEST(OracleDigest, ExhaustiveSearchIsPinned)
 {
-    const uint64_t expected[] = {
-        0x552780d7d1f8ac88ull, 0xab38e246f363ba6dull,
-        0xb1e79bb63534dfedull, 0x223dabc28811b327ull};
     OracleConfig config;
     config.exhaustive = true;
-    for (size_t i = 0; i < 4; ++i) {
-        auto trace = workload::makeBenchmarkTrace(kDigestMembers[i], 3000);
-        uint64_t got = oracleDigest(trace, config);
-        EXPECT_EQ(got, expected[i])
-            << kDigestMembers[i] << std::hex << " 0x" << got;
-    }
+    expectPinned(config, 3000,
+                 {0x552780d7d1f8ac88ull, 0xab38e246f363ba6dull,
+                  0xb1e79bb63534dfedull, 0x223dabc28811b327ull});
 }
 
 TEST(OracleDeath, ConfigBoundsEnforced)
