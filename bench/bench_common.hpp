@@ -16,9 +16,8 @@
  * --no-trace-cache is given.
  *
  * Timing: each harness prints a "timing=" line (per-phase seconds and
- * branch throughput) and appends a machine-readable entry to
- * bench_results.json, so successive PRs have a perf trajectory to
- * compare against.
+ * branch throughput) to stderr. Speed claims and the performance gate
+ * use perfbench (tools/perf_ab.sh), not this line.
  */
 
 #pragma once
@@ -26,7 +25,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -54,7 +52,6 @@ struct BenchOptions
     bool csv = false;
     uint64_t threads = 0;     //!< worker threads (0 = auto)
     bool noTraceCache = false;
-    std::string resultsPath = "bench_results.json";
     //! run-manifest path; "" disables (docs/OBSERVABILITY.md)
     std::string metricsOut = util::envString("COPRA_METRICS_OUT", "");
     bool metricsSummary = false; //!< print the instrument table (stderr)
@@ -83,8 +80,6 @@ struct BenchOptions
         options.addFlag("no-trace-cache", &noTraceCache,
                         "regenerate traces instead of using "
                         ".copra-cache/ ($COPRA_CACHE_DIR)");
-        options.addString("results", &resultsPath,
-                          "bench_results.json path (empty = skip)");
         options.addString("metrics-out", &metricsOut,
                           "write a run-manifest JSON here "
                           "($COPRA_METRICS_OUT; empty = off)");
@@ -129,11 +124,12 @@ banner(const char *artifact, const BenchOptions &opts)
 /** Aggregate timing of one harness run, summed over the suite. */
 struct SuiteTiming
 {
-    double wallSeconds = 0.0;      //!< end-to-end fan-out wall clock
-    double traceSeconds = 0.0;     //!< trace gen/load, summed per task
-    double predictorSeconds = 0.0; //!< predictor runs, summed per task
-    double oracleSeconds = 0.0;    //!< oracle + classifier, summed
-    uint64_t dynamicBranches = 0;  //!< conditional branches simulated
+    double wallSeconds = 0.0;       //!< end-to-end fan-out wall clock
+    double traceSeconds = 0.0;      //!< trace gen/load, summed per task
+    double predictorSeconds = 0.0;  //!< predictor runs, summed per task
+    double oracleSeconds = 0.0;     //!< selective oracles, summed
+    double classifierSeconds = 0.0; //!< PA classifiers, summed
+    uint64_t dynamicBranches = 0;   //!< conditional branches simulated
 };
 
 /**
@@ -155,6 +151,7 @@ struct SuiteTimingAccumulator
         totals.traceSeconds += phases.traceSeconds;
         totals.predictorSeconds += phases.predictorSeconds;
         totals.oracleSeconds += phases.oracleSeconds;
+        totals.classifierSeconds += phases.classifierSeconds;
         totals.dynamicBranches += branches;
     }
 
@@ -215,72 +212,10 @@ runSuite(const BenchOptions &opts, SuiteTiming *timing,
 }
 
 /**
- * Append one run's entry to the bench_results.json array (creating the
- * file on first use; a file that is not a well-formed array is started
- * over). Records enough to reconstruct a perf trajectory across PRs.
- */
-inline void
-appendBenchResult(const std::string &path, const std::string &name,
-                  const BenchOptions &opts, const SuiteTiming &timing)
-{
-    double branches_per_sec = timing.wallSeconds > 0
-        ? static_cast<double>(timing.dynamicBranches) / timing.wallSeconds
-        : 0.0;
-    std::ostringstream entry;
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\": \"%s\", \"threads\": %u, "
-                  "\"branches\": %llu, \"seconds\": %.3f, "
-                  "\"branches_per_sec\": %.0f, "
-                  "\"trace_seconds\": %.3f, "
-                  "\"predictor_seconds\": %.3f, "
-                  "\"oracle_seconds\": %.3f, "
-                  "\"trace_cache\": %s}",
-                  name.c_str(), globalPool().size(),
-                  static_cast<unsigned long long>(timing.dynamicBranches),
-                  timing.wallSeconds, branches_per_sec,
-                  timing.traceSeconds, timing.predictorSeconds,
-                  timing.oracleSeconds,
-                  opts.noTraceCache ? "false" : "true");
-    entry << buf;
-
-    std::string existing;
-    {
-        std::ifstream in(path);
-        if (in) {
-            std::ostringstream slurp;
-            slurp << in.rdbuf();
-            existing = slurp.str();
-        }
-    }
-    // Keep the file a valid JSON array: strip the closing bracket and
-    // append, or start fresh when absent/not an array.
-    size_t open = existing.find('[');
-    size_t close = existing.rfind(']');
-    std::ofstream out(path, std::ios::trunc);
-    if (!out)
-        return;
-    if (open != std::string::npos && close != std::string::npos &&
-        open < close) {
-        std::string body = existing.substr(open + 1, close - open - 1);
-        while (!body.empty() &&
-               (body.back() == '\n' || body.back() == ' ' ||
-                body.back() == ','))
-            body.pop_back();
-        out << "[" << body;
-        if (!body.empty())
-            out << ",";
-        out << "\n" << entry.str() << "\n]\n";
-    } else {
-        out << "[\n" << entry.str() << "\n]\n";
-    }
-}
-
-/**
- * Print the timing= line for @p artifact and append the matching
- * bench_results.json entry (unless --results ""). Call after the table.
- * The line goes to stderr so stdout (the table) stays byte-identical
- * across thread counts and machines.
+ * Print the timing= line for @p artifact and, when telemetry is on,
+ * write its run manifest. Call after the table. The line goes to
+ * stderr so stdout (the table) stays byte-identical across thread
+ * counts and machines.
  */
 inline void
 reportTiming(const char *artifact, const BenchOptions &opts,
@@ -291,15 +226,13 @@ reportTiming(const char *artifact, const BenchOptions &opts,
         : 0.0;
     std::fprintf(stderr,
                  "timing= total=%.3fs trace=%.3fs predictors=%.3fs "
-                 "oracle=%.3fs threads=%u branches=%llu "
+                 "oracle=%.3fs classifier=%.3fs threads=%u branches=%llu "
                  "branches/sec=%.0f\n",
                  timing.wallSeconds, timing.traceSeconds,
                  timing.predictorSeconds, timing.oracleSeconds,
-                 globalPool().size(),
+                 timing.classifierSeconds, globalPool().size(),
                  static_cast<unsigned long long>(timing.dynamicBranches),
                  branches_per_sec);
-    if (!opts.resultsPath.empty())
-        appendBenchResult(opts.resultsPath, artifact, opts, timing);
 
     if (!obs::enabled())
         return;

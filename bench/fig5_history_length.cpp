@@ -36,10 +36,8 @@ main(int argc, char **argv)
     copra::bench::SuiteTiming timing;
     auto all_series = copra::bench::runSuite(
         opts, &timing, copra::workload::workloadSuiteNames(),
-        [&depths,
-         &opts](copra::core::BenchmarkExperiment &experiment) {
-            return copra::core::fig5Series(experiment.trace(),
-                                           opts.config, depths);
+        [&depths](copra::core::BenchmarkExperiment &experiment) {
+            return experiment.fig5Series(depths);
         });
 
     const auto &names = copra::workload::workloadSuiteNames();

@@ -35,12 +35,21 @@ predictorGuard(PhaseTimes &times)
             &times.predictorSeconds};
 }
 
-/** Wall+CPU phase guard for the oracle/classifier phase. */
+/** Wall+CPU phase guard for the selective-oracle phase. */
 obs::PhaseTimer
 oracleGuard(PhaseTimes &times)
 {
     return {obs::ids().simPhaseOracleSeconds,
             obs::ids().simPhaseOracleCpuSeconds, &times.oracleSeconds};
+}
+
+/** Wall+CPU phase guard for the PA-classifier phase. */
+obs::PhaseTimer
+classifierGuard(PhaseTimes &times)
+{
+    return {obs::ids().simPhaseClassifierSeconds,
+            obs::ids().simPhaseClassifierCpuSeconds,
+            &times.classifierSeconds};
 }
 
 } // namespace
@@ -194,7 +203,7 @@ const PaClassifier &
 BenchmarkExperiment::classifier()
 {
     if (!classifier_) {
-        obs::PhaseTimer guard = oracleGuard(times_);
+        obs::PhaseTimer guard = classifierGuard(times_);
         classifier_ =
             std::make_unique<PaClassifier>(trace_, config_.ifPasHistory);
     }
@@ -272,6 +281,13 @@ WeightedPercentiles
 BenchmarkExperiment::fig9Percentiles()
 {
     return accuracyDifference(gshareLedger(), pasLedger());
+}
+
+std::vector<std::pair<unsigned, double>>
+BenchmarkExperiment::fig5Series(const std::vector<unsigned> &depths)
+{
+    obs::PhaseTimer guard = oracleGuard(times_);
+    return core::fig5Series(trace_, config_, depths);
 }
 
 std::vector<std::pair<unsigned, double>>

@@ -66,14 +66,14 @@ struct ExperimentConfig
 /**
  * Wall-clock seconds spent in each phase of one benchmark's experiments,
  * recorded by BenchmarkExperiment as work happens. The bench harnesses
- * sum these across benchmarks for the timing= line and
- * bench_results.json.
+ * sum these across benchmarks for the timing= line.
  */
 struct PhaseTimes
 {
-    double traceSeconds = 0.0;     //!< workload generation or cache load
-    double predictorSeconds = 0.0; //!< sim::run passes over the trace
-    double oracleSeconds = 0.0;    //!< selective oracle + classifier
+    double traceSeconds = 0.0;      //!< workload generation or cache load
+    double predictorSeconds = 0.0;  //!< sim::run passes over the trace
+    double oracleSeconds = 0.0;     //!< selective oracles (fig5 sweep too)
+    double classifierSeconds = 0.0; //!< PaClassifier construction
 };
 
 /** Fig. 4 row: selective history vs gshare and IF gshare. */
@@ -176,6 +176,10 @@ class BenchmarkExperiment
 
     /** Per-address classification (loop / repeating / non-repeating). */
     const PaClassifier &classifier();
+
+    /** Fig. 5 series over this trace (core::fig5Series), timed as oracle. */
+    std::vector<std::pair<unsigned, double>>
+    fig5Series(const std::vector<unsigned> &depths);
 
     // --- Row producers, one per paper artifact ------------------------
     Fig4Row fig4Row();

@@ -104,12 +104,21 @@ buildCatalog()
             0.0, 30.0, 30);
     addHist(c, i.simPhaseOracleSeconds, "sim.phase.oracle.seconds",
             "seconds",
-            "wall time per selective-oracle / classifier phase", "core",
-            0.0, 30.0, 30);
+            "wall time per selective-oracle phase (one oracle, or the "
+            "whole fig5 depth sweep)",
+            "core", 0.0, 30.0, 30);
     addHist(c, i.simPhaseOracleCpuSeconds,
             "sim.phase.oracle.cpu_seconds", "seconds",
-            "thread CPU time per selective-oracle / classifier phase",
-            "core", 0.0, 30.0, 30);
+            "thread CPU time per selective-oracle phase", "core", 0.0,
+            30.0, 30);
+    addHist(c, i.simPhaseClassifierSeconds,
+            "sim.phase.classifier.seconds", "seconds",
+            "wall time per PA-classifier construction", "core", 0.0,
+            30.0, 30);
+    addHist(c, i.simPhaseClassifierCpuSeconds,
+            "sim.phase.classifier.cpu_seconds", "seconds",
+            "thread CPU time per PA-classifier construction", "core",
+            0.0, 30.0, 30);
 
     // --- util: thread pool ------------------------------------------
     add(c, i.poolTaskQueued, "pool.task.queued", Kind::Counter, "tasks",

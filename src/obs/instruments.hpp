@@ -47,6 +47,8 @@ struct Ids
     InstrumentId simPhasePredictorCpuSeconds = 0;
     InstrumentId simPhaseOracleSeconds = 0;
     InstrumentId simPhaseOracleCpuSeconds = 0;
+    InstrumentId simPhaseClassifierSeconds = 0;
+    InstrumentId simPhaseClassifierCpuSeconds = 0;
 
     // util: the thread pool (src/util/thread_pool.cc, via hooks).
     InstrumentId poolTaskQueued = 0;

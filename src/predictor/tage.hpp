@@ -86,16 +86,21 @@ class Tage : public Predictor
     uint64_t usefulSum() const;
 
     // State contract (DESIGN.md §14): 2 bits per base counter plus
-    // tag + prediction + useful bits per tagged entry. The history
-    // register and the aging clock are serialized but not counted
-    // (unlike the perceptron, which counts its history bits; §14
-    // records the inconsistency).
+    // tag + prediction + useful bits per tagged entry, plus the global
+    // history register (the longest table's window) and the aging
+    // clock (enough bits to count one aging period), as the perceptron
+    // counts its history and threshold machinery.
     uint64_t
     stateBits() const override
     {
         const uint64_t per_entry = uint64_t(config_.tagBits) +
             config_.counterBits + config_.usefulBits;
-        return uint64_t(2) * base_.size() + per_entry * tables_.size();
+        uint64_t clock_bits = 0;
+        while (clock_bits < 64 &&
+               (uint64_t(1) << clock_bits) < config_.agingPeriod)
+            ++clock_bits;
+        return uint64_t(2) * base_.size() + per_entry * tables_.size() +
+            lengths_.back() + clock_bits;
     }
 
     // The snapshot is per table (a table count, then one

@@ -15,23 +15,13 @@
  *   copra_report --summary <manifest.json>
  *       Print the non-zero instruments of a manifest as an aligned
  *       table.
- *
- *   copra_report perf-gate <current.json> [--baseline <before.json>]
- *                [--max-regress <frac>] [--json]
- *       Compute simulated branches/s from a run manifest
- *       (sim.run.branches over the summed sim.phase.predictor.seconds
- *       wall time). With --baseline, exit non-zero when throughput
- *       regressed by more than --max-regress (default 0.15) — the CI
- *       bench-perf hard gate. With --json, print a small snapshot
- *       object (committed as BENCH_<n>.json to track the perf
- *       trajectory in-repo).
  */
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
+#include <exception>
 #include <string>
 
 #include "obs/manifest.hpp"
@@ -49,101 +39,9 @@ usage(const char *prog)
         "usage:\n"
         "  %s diff <before.json> <after.json> [--threshold <frac>]\n"
         "  %s --doc-registry [--check <file>]\n"
-        "  %s --summary <manifest.json>\n"
-        "  %s perf-gate <current.json> [--baseline <before.json>]\n"
-        "     [--max-regress <frac>] [--json]\n",
-        prog, prog, prog, prog);
+        "  %s --summary <manifest.json>\n",
+        prog, prog, prog);
     return 2;
-}
-
-/**
- * Simulated branch throughput recorded in @p manifest: total dynamic
- * branches fed to predictors over the summed predictor-phase wall
- * time. Throws when the manifest lacks either instrument — a manifest
- * from a binary that never ran a simulation has no throughput.
- */
-double
-branchesPerSecond(const obs::Json &manifest)
-{
-    double branches = 0.0;
-    double seconds = 0.0;
-    bool have_branches = false;
-    bool have_seconds = false;
-    for (const obs::Json &entry : manifest.at("instruments").items()) {
-        const std::string &key = entry.at("key").asString();
-        if (key == "sim.run.branches") {
-            branches = entry.at("value").asNumber();
-            have_branches = true;
-        } else if (key == "sim.phase.predictor.seconds") {
-            seconds = entry.at("sum").asNumber();
-            have_seconds = true;
-        }
-    }
-    if (!have_branches || !have_seconds || seconds <= 0.0 ||
-        branches <= 0.0) {
-        throw std::runtime_error(
-            "manifest records no simulated-branch throughput "
-            "(sim.run.branches / sim.phase.predictor.seconds)");
-    }
-    return branches / seconds;
-}
-
-int
-runPerfGate(int argc, char **argv)
-{
-    std::string current_path;
-    std::string baseline_path;
-    double max_regress = 0.15;
-    bool as_json = false;
-    for (int i = 2; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-            baseline_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--max-regress") == 0 &&
-                   i + 1 < argc) {
-            max_regress = std::strtod(argv[++i], nullptr);
-        } else if (std::strcmp(argv[i], "--json") == 0) {
-            as_json = true;
-        } else if (current_path.empty()) {
-            current_path = argv[i];
-        } else {
-            return usage(argv[0]);
-        }
-    }
-    if (current_path.empty())
-        return usage(argv[0]);
-
-    obs::Json current = obs::loadManifest(current_path);
-    double now = branchesPerSecond(current);
-    if (as_json) {
-        std::printf("{\n"
-                    "  \"tool\": \"%s\",\n"
-                    "  \"git_sha\": \"%s\",\n"
-                    "  \"branches_per_second\": %.0f\n"
-                    "}\n",
-                    current.at("tool").asString().c_str(),
-                    current.at("git_sha").asString().c_str(), now);
-    } else {
-        std::printf("current:  %12.0f branches/s (%s)\n", now,
-                    current_path.c_str());
-    }
-    if (baseline_path.empty())
-        return 0;
-
-    obs::Json baseline = obs::loadManifest(baseline_path);
-    double base = branchesPerSecond(baseline);
-    double ratio = now / base;
-    if (!as_json)
-        std::printf("baseline: %12.0f branches/s (%s)\n"
-                    "ratio:    %.3fx\n",
-                    base, baseline_path.c_str(), ratio);
-    if (ratio < 1.0 - max_regress) {
-        std::fprintf(stderr,
-                     "copra_report: throughput regressed %.1f%% "
-                     "(limit %.1f%%)\n",
-                     (1.0 - ratio) * 100.0, max_regress * 100.0);
-        return 1;
-    }
-    return 0;
 }
 
 int
@@ -259,8 +157,6 @@ main(int argc, char **argv)
             return runDocRegistry(argc, argv);
         if (std::strcmp(argv[1], "--summary") == 0)
             return runSummary(argc, argv);
-        if (std::strcmp(argv[1], "perf-gate") == 0)
-            return runPerfGate(argc, argv);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "copra_report: %s\n", e.what());
         return 1;
