@@ -22,6 +22,7 @@
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -95,10 +96,9 @@ class Tage : public Predictor
     {
         const uint64_t per_entry = uint64_t(config_.tagBits) +
             config_.counterBits + config_.usefulBits;
-        uint64_t clock_bits = 0;
-        while (clock_bits < 64 &&
-               (uint64_t(1) << clock_bits) < config_.agingPeriod)
-            ++clock_bits;
+        const uint64_t clock_bits = config_.agingPeriod > 1
+            ? std::bit_width(config_.agingPeriod - 1)
+            : 0;
         return uint64_t(2) * base_.size() + per_entry * tables_.size() +
             lengths_.back() + clock_bits;
     }
