@@ -1,28 +1,30 @@
 /**
  * @file
  * Shared plumbing for the bench binaries: common CLI options, the
- * standard header each harness prints, the parallel suite fan-out, and
- * wall-clock timing instrumentation. Every bench regenerates one of the
- * paper's tables or figures over the synthetic benchmark suite and
- * prints the paper's published values alongside for comparison.
+ * standard header each table or figure prints, the parallel suite
+ * fan-out, and wall-clock timing instrumentation. The paper's tables
+ * and figures are the sections of one driver (paper.cpp): copra_paper
+ * prints them all, and each harness binary prints one. The ablations
+ * are separate programs over the same plumbing.
  *
- * Parallelism: runSuite() runs a bench's workload roster — the paper's
- * 8 benchmarks by default, or an explicit name list (the figure benches
- * pass workload::workloadSuiteNames() to include the frontier families)
- * — concurrently on the global thread pool (size --threads /
- * COPRA_THREADS), collecting rows in suite order so the printed table
- * is byte-identical for every thread count. Traces are served from the
- * on-disk cache (.copra-cache/ or $COPRA_CACHE_DIR) unless
+ * Parallelism: runSuite() runs a roster — the paper's 8 benchmarks by
+ * default, or an explicit name list such as workload::
+ * workloadSuiteNames(), which adds the frontier families — concurrently
+ * on the global thread pool (size --threads / COPRA_THREADS, at most
+ * kMaxPoolThreads), collecting rows in roster order so the printed
+ * tables are byte-identical for every thread count. Traces are served
+ * from the on-disk cache (.copra-cache/ or $COPRA_CACHE_DIR) unless
  * --no-trace-cache is given.
  *
- * Timing: each harness prints a "timing=" line (per-phase seconds and
- * branch throughput) to stderr. Speed claims and the performance gate
- * use perfbench (tools/perf_ab.sh), not this line.
+ * Timing: each suite pass prints a "timing=" line (per-phase seconds
+ * and branch throughput) to stderr. Speed claims and the performance
+ * gate use perfbench (tools/perf_ab.sh), not this line.
  */
 
 #pragma once
 
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -56,12 +58,16 @@ struct BenchOptions
     std::string metricsOut = util::envString("COPRA_METRICS_OUT", "");
     bool metricsSummary = false; //!< print the instrument table (stderr)
     std::string argvLine;        //!< reconstructed command line
+    bool branchesGiven = false;  //!< --branches was on the command line
+    bool mineGiven = false;      //!< --mine was on the command line
 
     /**
      * Parse argv; returns false if the program should exit (e.g.
      * --help). @p extra lets a harness register additional options.
-     * On success, sizes the global thread pool and enables the trace
-     * cache (unless --no-trace-cache).
+     * A count that does not fit its field, or a --threads above
+     * kMaxPoolThreads, is a fatal usage error. On success, sizes the
+     * global thread pool and enables the trace cache (unless
+     * --no-trace-cache).
      */
     bool
     parse(int argc, char **argv, const std::string &description,
@@ -76,7 +82,8 @@ struct BenchOptions
                         "branches used for candidate mining (0 = all)");
         options.addFlag("csv", &csv, "emit CSV instead of aligned text");
         options.addUint("threads", &threads,
-                        "worker threads (0 = COPRA_THREADS or hardware)");
+                        "worker threads (0 = COPRA_THREADS or hardware)",
+                        kMaxPoolThreads);
         options.addFlag("no-trace-cache", &noTraceCache,
                         "regenerate traces instead of using "
                         ".copra-cache/ ($COPRA_CACHE_DIR)");
@@ -87,14 +94,18 @@ struct BenchOptions
                         "print non-zero telemetry instruments to stderr");
         uint64_t depth = config.historyDepth;
         uint64_t pool = config.candidatePool;
-        options.addUint("depth", &depth, "history window depth n");
-        options.addUint("pool", &pool, "oracle candidate pool size K");
+        options.addUint("depth", &depth, "history window depth n",
+                        UINT_MAX);
+        options.addUint("pool", &pool, "oracle candidate pool size K",
+                        UINT_MAX);
         if (extra)
             extra(options);
         if (!options.parse(argc, argv))
             return false;
         config.historyDepth = static_cast<unsigned>(depth);
         config.candidatePool = static_cast<unsigned>(pool);
+        branchesGiven = options.given("branches");
+        mineGiven = options.given("mine");
 
         std::ostringstream line;
         for (int i = 1; i < argc; ++i)
@@ -212,14 +223,12 @@ runSuite(const BenchOptions &opts, SuiteTiming *timing,
 }
 
 /**
- * Print the timing= line for @p artifact and, when telemetry is on,
- * write its run manifest. Call after the table. The line goes to
- * stderr so stdout (the table) stays byte-identical across thread
- * counts and machines.
+ * Print the timing= line of one suite pass. The line goes to stderr so
+ * stdout (the tables) stays byte-identical across thread counts and
+ * machines.
  */
 inline void
-reportTiming(const char *artifact, const BenchOptions &opts,
-             const SuiteTiming &timing)
+printTiming(const SuiteTiming &timing)
 {
     double branches_per_sec = timing.wallSeconds > 0
         ? static_cast<double>(timing.dynamicBranches) / timing.wallSeconds
@@ -233,10 +242,19 @@ reportTiming(const char *artifact, const BenchOptions &opts,
                  timing.classifierSeconds, globalPool().size(),
                  static_cast<unsigned long long>(timing.dynamicBranches),
                  branches_per_sec);
+    if (obs::enabled())
+        obs::observe(obs::ids().benchSuiteWallSeconds, timing.wallSeconds);
+}
 
+/**
+ * When telemetry is on, write the run manifest of @p artifact and the
+ * instrument summary. Call once, after the last suite pass.
+ */
+inline void
+reportRun(const char *artifact, const BenchOptions &opts)
+{
     if (!obs::enabled())
         return;
-    obs::observe(obs::ids().benchSuiteWallSeconds, timing.wallSeconds);
     obs::gaugeMax(obs::ids().poolWorkerCount, globalPool().size());
     obs::RunInfo info;
     info.tool = artifact;
@@ -250,6 +268,15 @@ reportTiming(const char *artifact, const BenchOptions &opts,
             obs::renderSummary(obs::Registry::instance().snapshot())
                 .c_str(),
             stderr);
+}
+
+/** printTiming() then reportRun(): the close of a one-pass harness. */
+inline void
+reportTiming(const char *artifact, const BenchOptions &opts,
+             const SuiteTiming &timing)
+{
+    printTiming(timing);
+    reportRun(artifact, opts);
 }
 
 } // namespace copra::bench

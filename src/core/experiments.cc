@@ -3,8 +3,6 @@
 #include "obs/instruments.hpp"
 #include "obs/registry.hpp"
 #include "predictor/factory.hpp"
-#include "predictor/interference_free.hpp"
-#include "predictor/two_level.hpp"
 #include "sim/driver.hpp"
 #include "trace/trace_cache.hpp"
 #include "workload/profiles.hpp"
@@ -92,74 +90,21 @@ BenchmarkExperiment::stats()
 const sim::Ledger &
 BenchmarkExperiment::gshareLedger()
 {
-    if (!gshare_) {
-        obs::PhaseTimer guard = predictorGuard(times_);
-        predictor::TwoLevel pred(
-            predictor::TwoLevelConfig::gshare(config_.gshareHistory));
-        gshare_.emplace();
-        sim::run(trace_, pred, &*gshare_);
-    }
-    return *gshare_;
+    return ledgerFor("gshare:h=" + std::to_string(config_.gshareHistory));
 }
 
 const sim::Ledger &
 BenchmarkExperiment::pasLedger()
 {
-    if (!pas_) {
-        obs::PhaseTimer guard = predictorGuard(times_);
-        predictor::TwoLevel pred(predictor::TwoLevelConfig::pas(
-            config_.pasHistory, config_.pasBhtBits, config_.pasSelectBits));
-        pas_.emplace();
-        sim::run(trace_, pred, &*pas_);
-    }
-    return *pas_;
+    return ledgerFor("pas:h=" + std::to_string(config_.pasHistory) +
+                     ",bht=" + std::to_string(config_.pasBhtBits) +
+                     ",s=" + std::to_string(config_.pasSelectBits));
 }
 
 const sim::Ledger &
 BenchmarkExperiment::ifGshareLedger()
 {
-    if (!ifGshare_) {
-        obs::PhaseTimer guard = predictorGuard(times_);
-        predictor::IfGshare pred(config_.gshareHistory);
-        ifGshare_.emplace();
-        sim::run(trace_, pred, &*ifGshare_);
-    }
-    return *ifGshare_;
-}
-
-void
-BenchmarkExperiment::precomputeLedgers()
-{
-    std::vector<predictor::PredictorPtr> owned;
-    std::vector<predictor::Predictor *> preds;
-    std::vector<std::optional<sim::Ledger> *> sinks;
-    if (!gshare_) {
-        owned.push_back(std::make_unique<predictor::TwoLevel>(
-            predictor::TwoLevelConfig::gshare(config_.gshareHistory)));
-        sinks.push_back(&gshare_);
-    }
-    if (!pas_) {
-        owned.push_back(std::make_unique<predictor::TwoLevel>(
-            predictor::TwoLevelConfig::pas(config_.pasHistory,
-                                           config_.pasBhtBits,
-                                           config_.pasSelectBits)));
-        sinks.push_back(&pas_);
-    }
-    if (!ifGshare_) {
-        owned.push_back(std::make_unique<predictor::IfGshare>(
-            config_.gshareHistory));
-        sinks.push_back(&ifGshare_);
-    }
-    if (owned.empty())
-        return;
-    for (auto &pred : owned)
-        preds.push_back(pred.get());
-
-    obs::PhaseTimer guard = predictorGuard(times_);
-    std::vector<sim::Ledger> ledgers;
-    sim::runAll(trace_, preds, &ledgers);
-    for (size_t i = 0; i < sinks.size(); ++i)
-        sinks[i]->emplace(std::move(ledgers[i]));
+    return ledgerFor("ifgshare:h=" + std::to_string(config_.gshareHistory));
 }
 
 const sim::Ledger &

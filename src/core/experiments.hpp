@@ -6,12 +6,10 @@
  * The bench binaries are thin wrappers over this layer.
  *
  * Concurrency contract (DESIGN.md §10): a BenchmarkExperiment is
- * task-confined — the lazy getters mutate the cached optionals without
- * locking, so one instance must never be shared across pool workers.
- * The bench fan-out honors this by constructing one experiment per
- * task; inside an experiment, precomputeLedgers() may itself shard
- * across the pool, which is safe because each inner task writes only
- * its own result slot before the single owning task installs them.
+ * task-confined — the lazy getters fill their caches without locking,
+ * so one instance must never be shared across pool workers. The bench
+ * fan-out honors this by constructing one experiment per member task
+ * and asking it for every product that task's sections need.
  */
 
 #pragma once
@@ -61,6 +59,8 @@ struct ExperimentConfig
 
     /** IF-PAs history length. */
     unsigned ifPasHistory = 12;
+
+    bool operator==(const ExperimentConfig &) const = default;
 };
 
 /**
@@ -142,21 +142,13 @@ class BenchmarkExperiment
     /** Seconds spent so far, by phase. */
     const PhaseTimes &phaseTimes() const { return times_; }
 
-    /**
-     * Compute the gshare, PAs and IF-gshare ledgers that are not yet
-     * cached, sharding the simulation passes across the global thread
-     * pool (sim::runAll). Purely an optimization: the lazy
-     * getters return identical ledgers whether or not this ran first.
-     */
-    void precomputeLedgers();
-
-    /** gshare run (per-branch ledger). */
+    /** gshare run (per-branch ledger): ledgerFor("gshare:h=.."). */
     const sim::Ledger &gshareLedger();
 
-    /** PAs run. */
+    /** PAs run: ledgerFor("pas:h=..,bht=..,s=..") from the config. */
     const sim::Ledger &pasLedger();
 
-    /** Interference-free gshare run. */
+    /** Interference-free gshare run: ledgerFor("ifgshare:h=.."). */
     const sim::Ledger &ifGshareLedger();
 
     /** Ideal static predictor (majority direction per branch). */
@@ -165,9 +157,10 @@ class BenchmarkExperiment
     /**
      * Ledger of an arbitrary factory-spec predictor (predictor/factory
      * grammar, e.g. "tage" or "perceptron:tbits=12"), computed on first
-     * use and cached by spec string. The modern-roster and H2P analyses
-     * (bench/fig10_modern_roster, core/h2p.hpp) run through this so
-     * repeated queries against one benchmark share simulation passes.
+     * use and cached by spec string. Every predictor pass of an
+     * experiment, the paper's gshare / PAs / IF gshare included, runs
+     * through this, so sections asking for the same predictor against
+     * one benchmark share one simulation pass.
      */
     const sim::Ledger &ledgerFor(const std::string &spec);
 
@@ -202,9 +195,6 @@ class BenchmarkExperiment
     trace::Trace trace_;
 
     std::optional<trace::TraceStats> stats_;
-    std::optional<sim::Ledger> gshare_;
-    std::optional<sim::Ledger> pas_;
-    std::optional<sim::Ledger> ifGshare_;
     std::optional<sim::Ledger> idealStatic_;
     std::map<std::string, sim::Ledger> specLedgers_; // keyed by spec
     std::unique_ptr<SelectiveOracle> oracle_;

@@ -1,7 +1,7 @@
 #include "util/cli.hpp"
 
+#include <charconv>
 #include <cstdio>
-#include <stdexcept>
 
 #include "util/logging.hpp"
 
@@ -21,9 +21,9 @@ OptionParser::addInt(const std::string &name, int64_t *target,
 
 void
 OptionParser::addUint(const std::string &name, uint64_t *target,
-                      const std::string &help)
+                      const std::string &help, uint64_t max)
 {
-    options_.push_back({name, Kind::Uint, target, help});
+    options_.push_back({name, Kind::Uint, target, help, max});
 }
 
 void
@@ -47,40 +47,61 @@ OptionParser::addFlag(const std::string &name, bool *target,
     options_.push_back({name, Kind::Flag, target, help});
 }
 
-const OptionParser::Option *
-OptionParser::find(const std::string &name) const
+OptionParser::Option *
+OptionParser::find(const std::string &name)
 {
-    for (const auto &opt : options_)
+    for (auto &opt : options_)
         if (opt.name == name)
             return &opt;
     return nullptr;
 }
 
+namespace {
+
+/**
+ * Parse all of @p value as a T. from_chars takes no leading whitespace
+ * or '+', no '-' for unsigned types, and reports overflow, so a value
+ * that would wrap or stop early is rejected instead of truncated.
+ */
+template <typename T>
+bool
+parseNumber(const std::string &value, T *out)
+{
+    const char *end = value.data() + value.size();
+    auto [ptr, ec] = std::from_chars(value.data(), end, *out);
+    return ec == std::errc() && ptr == end;
+}
+
+} // namespace
+
 void
 OptionParser::apply(const Option &opt, const std::string &value) const
 {
-    try {
-        switch (opt.kind) {
-          case Kind::Int:
-            *static_cast<int64_t *>(opt.target) = std::stoll(value);
-            break;
-          case Kind::Uint:
-            *static_cast<uint64_t *>(opt.target) = std::stoull(value);
-            break;
-          case Kind::Double:
-            *static_cast<double *>(opt.target) = std::stod(value);
-            break;
-          case Kind::String:
-            *static_cast<std::string *>(opt.target) = value;
-            break;
-          case Kind::Flag:
-            *static_cast<bool *>(opt.target) =
-                !(value == "false" || value == "0" || value == "no");
-            break;
-        }
-    } catch (const std::exception &) {
-        fatal("invalid value '" + value + "' for option --" + opt.name);
+    bool ok = true;
+    switch (opt.kind) {
+      case Kind::Int:
+        ok = parseNumber(value, static_cast<int64_t *>(opt.target));
+        break;
+      case Kind::Uint:
+        ok = parseNumber(value, static_cast<uint64_t *>(opt.target)) &&
+             *static_cast<uint64_t *>(opt.target) <= opt.max;
+        break;
+      case Kind::Double:
+        ok = parseNumber(value, static_cast<double *>(opt.target));
+        break;
+      case Kind::String:
+        *static_cast<std::string *>(opt.target) = value;
+        break;
+      case Kind::Flag:
+        *static_cast<bool *>(opt.target) =
+            !(value == "false" || value == "0" || value == "no");
+        break;
     }
+    if (!ok)
+        fatal("invalid value '" + value + "' for option --" + opt.name +
+              (opt.kind == Kind::Uint && opt.max != UINT64_MAX
+                   ? " (at most " + std::to_string(opt.max) + ")"
+                   : ""));
 }
 
 void
@@ -119,7 +140,7 @@ OptionParser::parse(int argc, const char *const *argv)
             have_value = true;
         }
 
-        const Option *opt = find(name);
+        Option *opt = find(name);
         if (opt == nullptr)
             fatal("unknown option --" + name);
 
@@ -133,8 +154,18 @@ OptionParser::parse(int argc, const char *const *argv)
             }
         }
         apply(*opt, value);
+        opt->given = true;
     }
     return true;
+}
+
+bool
+OptionParser::given(const std::string &name) const
+{
+    for (const auto &opt : options_)
+        if (opt.name == name)
+            return opt.given;
+    return false;
 }
 
 } // namespace copra

@@ -2,7 +2,8 @@
  * @file
  * Minimal command line option parser shared by the bench and example
  * binaries. Supports "--name value", "--name=value" and boolean flags,
- * generates --help text, and rejects unknown options.
+ * generates --help text, and rejects unknown options and numbers that
+ * are malformed, carry trailing characters, or do not fit the target.
  */
 
 #pragma once
@@ -27,9 +28,12 @@ class OptionParser
     void addInt(const std::string &name, int64_t *target,
                 const std::string &help);
 
-    /** Register an unsigned integer option bound to @p target. */
+    /**
+     * Register an unsigned integer option bound to @p target. A sign,
+     * a suffix, or a value above @p max is an invalid value.
+     */
     void addUint(const std::string &name, uint64_t *target,
-                 const std::string &help);
+                 const std::string &help, uint64_t max = UINT64_MAX);
 
     /** Register a floating point option bound to @p target. */
     void addDouble(const std::string &name, double *target,
@@ -51,6 +55,9 @@ class OptionParser
      */
     bool parse(int argc, const char *const *argv);
 
+    /** Whether the last parse() set option @p name from the command line. */
+    bool given(const std::string &name) const;
+
   private:
     enum class Kind { Int, Uint, Double, String, Flag };
 
@@ -60,9 +67,11 @@ class OptionParser
         Kind kind;
         void *target;
         std::string help;
+        uint64_t max = UINT64_MAX; //!< Kind::Uint ceiling
+        bool given = false;
     };
 
-    const Option *find(const std::string &name) const;
+    Option *find(const std::string &name);
     void apply(const Option &opt, const std::string &value) const;
     void printHelp(const std::string &prog) const;
 

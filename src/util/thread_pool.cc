@@ -127,6 +127,9 @@ defaultThreadCount()
     if (const char *env = util::envRaw("COPRA_THREADS")) {
         char *end = nullptr;
         long parsed = std::strtol(env, &end, 10);
+        if (end != env && *end == '\0' && parsed > kMaxPoolThreads)
+            fatal("COPRA_THREADS=" + std::string(env) + " exceeds the " +
+                  std::to_string(kMaxPoolThreads) + "-worker ceiling");
         if (end != env && *end == '\0' && parsed > 0)
             return static_cast<unsigned>(parsed);
         if (env[0] != '\0')

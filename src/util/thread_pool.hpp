@@ -121,9 +121,16 @@ class ThreadPool
 };
 
 /**
+ * Ceiling on a requested worker count (--threads, COPRA_THREADS). A
+ * larger request is a usage error, rejected before any pool is built.
+ */
+inline constexpr unsigned kMaxPoolThreads = 1024;
+
+/**
  * Worker count used for default-sized pools: the COPRA_THREADS
  * environment variable when set to a positive integer, otherwise
- * std::thread::hardware_concurrency() (minimum 1).
+ * std::thread::hardware_concurrency() (minimum 1). A COPRA_THREADS
+ * above kMaxPoolThreads is fatal.
  */
 unsigned defaultThreadCount();
 

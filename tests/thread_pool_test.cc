@@ -214,6 +214,16 @@ TEST_F(CopraThreadsEnv, ZeroNegativeAndGarbageFallBackToHardware)
     EXPECT_EQ(defaultThreadCount(), fallback);
 }
 
+TEST_F(CopraThreadsEnv, AboveTheCeilingIsFatal)
+{
+    // Rejected while the count is read, so no worker is ever started.
+    ::setenv("COPRA_THREADS", "5000", 1);
+    EXPECT_EXIT(defaultThreadCount(), ::testing::ExitedWithCode(1),
+                "exceeds the 1024-worker ceiling");
+    ::setenv("COPRA_THREADS", "1024", 1);
+    EXPECT_EQ(defaultThreadCount(), kMaxPoolThreads);
+}
+
 TEST(GlobalPool, ResizableAndUsable)
 {
     setGlobalPoolThreads(2);

@@ -86,12 +86,54 @@ TEST(OptionParserDeath, MissingValueIsFatal)
 
 TEST(OptionParserDeath, MalformedNumberIsFatal)
 {
+    // A sign would wrap (-1 -> 2^64 - 1) and a suffix would be dropped
+    // (20k -> 20); both, like overflow, are invalid values.
+    for (const char *bad : {"xyz", "-1", "20k", "+5", " 7", "",
+                            "18446744073709551616"}) {
+        uint64_t u = 0;
+        OptionParser p("test");
+        p.addUint("n", &u, "");
+        const char *argv[] = {"prog", "--n", bad};
+        EXPECT_EXIT(p.parse(3, argv), ::testing::ExitedWithCode(1),
+                    "invalid value")
+            << "value '" << bad << "'";
+    }
+    for (const char *bad : {"5x", "9223372036854775808"}) {
+        int64_t i = 0;
+        OptionParser p("test");
+        p.addInt("i", &i, "");
+        const char *argv[] = {"prog", "--i", bad};
+        EXPECT_EXIT(p.parse(3, argv), ::testing::ExitedWithCode(1),
+                    "invalid value")
+            << "value '" << bad << "'";
+    }
+}
+
+TEST(OptionParserDeath, UintAboveItsCeilingIsFatal)
+{
     uint64_t u = 0;
     OptionParser p("test");
-    p.addUint("n", &u, "");
-    const char *argv[] = {"prog", "--n", "xyz"};
+    p.addUint("n", &u, "", 1024);
+    const char *ok[] = {"prog", "--n", "1024"};
+    ASSERT_TRUE(p.parse(3, ok));
+    EXPECT_EQ(u, 1024u);
+    const char *argv[] = {"prog", "--n", "1025"};
     EXPECT_EXIT(p.parse(3, argv), ::testing::ExitedWithCode(1),
-                "invalid value");
+                "invalid value '1025' for option --n \\(at most 1024\\)");
+}
+
+TEST(OptionParser, GivenReportsCommandLineOptions)
+{
+    uint64_t a = 5;
+    uint64_t b = 5;
+    OptionParser p("test");
+    p.addUint("a", &a, "");
+    p.addUint("b", &b, "");
+    const char *argv[] = {"prog", "--b=5"};
+    ASSERT_TRUE(p.parse(2, argv));
+    EXPECT_FALSE(p.given("a"));
+    EXPECT_TRUE(p.given("b")); // given even though equal to the default
+    EXPECT_FALSE(p.given("unknown"));
 }
 
 TEST(OptionParserDeath, PositionalArgumentRejected)

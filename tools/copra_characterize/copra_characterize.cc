@@ -138,7 +138,8 @@ main(int argc, char **argv)
                      "and exit non-zero on drift");
     uint64_t threads = 0;
     parser.addUint("threads", &threads,
-                   "worker threads (0 = COPRA_THREADS or hardware)");
+                   "worker threads (0 = COPRA_THREADS or hardware)",
+                   kMaxPoolThreads);
     std::string metrics_out = util::envString("COPRA_METRICS_OUT", "");
     parser.addString("metrics-out", &metrics_out,
                      "write a run-manifest JSON here "
